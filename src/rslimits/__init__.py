@@ -8,7 +8,6 @@ linear estimation with rotationally invariant matrices via the R-transform.
 """
 
 from . import channel, oracle, potential, priors, psdlinalg, quadrature, rotinv, solver
-from ._kernels import get_backend, set_backend
 from .potential import ModelSpec, PotentialValue, check_hypothesis
 from .priors import Prior
 from .quadrature import QuadratureScheme, default_scheme, gauss_hermite, monte_carlo
@@ -24,5 +23,4 @@ __all__ = [
     "channel", "oracle", "potential", "priors", "psdlinalg",
     "quadrature", "rotinv", "solver",
     "check_hypothesis", "default_scheme", "gauss_hermite", "monte_carlo",
-    "get_backend", "set_backend",
 ]

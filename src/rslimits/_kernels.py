@@ -1,15 +1,4 @@
-"""Hot numeric kernels: numba-compiled versions with pure-numpy fallbacks.
-
-Backend selection
------------------
-The env var ``RS_LIMITS_BACKEND`` picks the implementation:
-
-* ``numba`` (default when importable): ``@njit`` kernels,
-* ``numpy``: vectorized fallbacks, no compilation.
-
-``set_backend()`` overrides at runtime (used by the tests and the benchmark
-to compare both paths).  Both backends compute identical quantities; the
-equivalence is pinned by tests/test_kernels.py.
+"""Hot numeric kernels, vectorized with numpy.
 
 Kernels
 -------
@@ -20,63 +9,25 @@ Kernels
   weight for every enumerated signal configuration of a finite instance.
 * ``config_row_marginals``: posterior single-row marginals accumulated over
   enumerated configurations.
-"""
 
-import os
+Brute-force loop versions of all three live in tests/kernel_reference.py and
+pin these vectorized forms.
+"""
 
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
-
-_VALID = ("numba", "numpy")
-
-
-def _initial_backend():
-    env = os.environ.get("RS_LIMITS_BACKEND", "").strip().lower()
-    if env in _VALID:
-        if env == "numba" and not HAVE_NUMBA:
-            raise RuntimeError("RS_LIMITS_BACKEND=numba but numba is not importable")
-        return env
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _initial_backend()
-
 
 def get_backend():
-    return _BACKEND
-
-
-def set_backend(name):
-    """Switch kernel backend at runtime; returns the previous backend."""
-    global _BACKEND
-    if name not in _VALID:
-        raise ValueError(f"backend must be one of {_VALID}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    prev = _BACKEND
-    _BACKEND = name
-    return prev
-
-
-def set_num_threads(n):
-    """Cap numba's thread pool (no-op on the numpy backend)."""
-    if HAVE_NUMBA and n:
-        numba.set_num_threads(max(1, int(n)))
+    """Name of the kernel implementation (recorded in benchmark metadata)."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # discrete-prior Gaussian channel: MI and averaged posterior covariance
 # ---------------------------------------------------------------------------
 
-def _channel_discrete_moments_np(logw, c, D, atoms, nodes, node_w):
-    """Vectorized fallback; chunks over quadrature nodes to bound memory.
+def channel_discrete_moments(logw, c, D, atoms, nodes, node_w):
+    """Channel moments, chunked over quadrature nodes to bound memory.
 
     logw (K,), c (K, K), D (K, K, d) = A (x_k - x_j), atoms (K, d),
     nodes (M, d), node_w (M,).
@@ -113,56 +64,11 @@ def _logsumexp(a, axis):
     return (amax + np.log(np.exp(a - amax).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _channel_discrete_moments_loop(logw, c, D, atoms, nodes, node_w):
-    K, d = atoms.shape
-    M = nodes.shape[0]
-    w_prior = np.exp(logw)
-    mi = 0.0
-    second = np.zeros((d, d))
-    outer = np.zeros((d, d))
-    logits = np.empty(K)
-    mean = np.empty(d)
-    for k in range(K):
-        wk = w_prior[k]
-        if wk == 0.0:
-            continue
-        for m in range(M):
-            for j in range(K):
-                s = logw[j] + c[k, j]
-                for t in range(d):
-                    s -= D[k, j, t] * nodes[m, t]
-                logits[j] = s
-            top = logits[0]
-            for j in range(1, K):
-                if logits[j] > top:
-                    top = logits[j]
-            z = 0.0
-            for j in range(K):
-                z += np.exp(logits[j] - top)
-            lse = top + np.log(z)
-            wkm = wk * node_w[m]
-            mi -= wkm * lse
-            for t in range(d):
-                mean[t] = 0.0
-            for j in range(K):
-                pj = np.exp(logits[j] - lse)
-                pwj = wkm * pj
-                for a in range(d):
-                    xa = atoms[j, a]
-                    mean[a] += pj * xa
-                    for b in range(d):
-                        second[a, b] += pwj * xa * atoms[j, b]
-            for a in range(d):
-                for b in range(d):
-                    outer[a, b] += wkm * mean[a] * mean[b]
-    return mi, second, outer
-
-
 # ---------------------------------------------------------------------------
 # exact posterior enumeration for finite instances
 # ---------------------------------------------------------------------------
 
-def _config_quadratic_terms_np(C, T1, u1, E):
+def config_quadratic_terms(C, T1, u1, E):
     """Data-dependent quadratic statistic per enumerated configuration.
 
     C (M, n) atom indices; T1 (n, K) side-channel cross terms; u1 (K)
@@ -179,59 +85,10 @@ def _config_quadratic_terms_np(C, T1, u1, E):
     return out
 
 
-def _config_quadratic_terms_loop(C, T1, u1, E):
-    M, n = C.shape
-    out = np.empty(M)
-    for m in range(M):
-        acc = 0.0
-        for i in range(n):
-            a = C[m, i]
-            acc += -2.0 * T1[i, a] + u1[a]
-            for j in range(n):
-                acc += E[i, j, a, C[m, j]]
-        out[m] = acc
-    return out
-
-
-def _config_row_marginals_np(C, p, K):
+def config_row_marginals(C, p, K):
     """Posterior marginal of each row's atom index: (n, K) from configs/probs."""
     M, n = C.shape
     marg = np.empty((n, K))
     for i in range(n):
         marg[i] = np.bincount(C[:, i], weights=p, minlength=K)
     return marg
-
-
-def _config_row_marginals_loop(C, p, K):
-    M, n = C.shape
-    marg = np.zeros((n, K))
-    for m in range(M):
-        pm = p[m]
-        for i in range(n):
-            marg[i, C[m, i]] += pm
-    return marg
-
-
-if HAVE_NUMBA:
-    _channel_discrete_moments_nb = numba.njit(cache=True, fastmath=False)(
-        _channel_discrete_moments_loop)
-    _config_quadratic_terms_nb = numba.njit(cache=True)(_config_quadratic_terms_loop)
-    _config_row_marginals_nb = numba.njit(cache=True)(_config_row_marginals_loop)
-
-
-def channel_discrete_moments(logw, c, D, atoms, nodes, node_w):
-    if _BACKEND == "numba":
-        return _channel_discrete_moments_nb(logw, c, D, atoms, nodes, node_w)
-    return _channel_discrete_moments_np(logw, c, D, atoms, nodes, node_w)
-
-
-def config_quadratic_terms(C, T1, u1, E):
-    if _BACKEND == "numba":
-        return _config_quadratic_terms_nb(C, T1, u1, E)
-    return _config_quadratic_terms_np(C, T1, u1, E)
-
-
-def config_row_marginals(C, p, K):
-    if _BACKEND == "numba":
-        return _config_row_marginals_nb(C, p, K)
-    return _config_row_marginals_np(C, p, K)

@@ -11,12 +11,11 @@ Exit codes: 0 success, 1 input error, 2 numerical non-convergence.
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
-from . import _kernels, oracle, priors, psdlinalg, rotinv, solver
+from . import oracle, priors, psdlinalg, rotinv, solver
 from .potential import ModelSpec, check_hypothesis, potential
 from .quadrature import default_scheme, gauss_hermite, monte_carlo
 
@@ -294,6 +293,8 @@ def _parse_grid(text):
         if len(parts) != 3:
             raise ConfigError("--grid range form is START:STOP:STEP")
         start, stop, step = map(float, parts)
+        if not all(map(math.isfinite, (start, stop, step))) or step == 0.0:
+            raise ConfigError("--grid START:STOP:STEP needs finite values and a nonzero STEP")
         count = int(round((stop - start) / step)) + 1
         if count < 1:
             raise ConfigError("--grid range is empty")
@@ -382,13 +383,6 @@ _COMMANDS = {
 }
 
 
-def _env_threads():
-    try:
-        return int(os.environ.get("RS_LIMITS_THREADS", "0") or 0)
-    except ValueError:
-        return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rslimits",
@@ -400,7 +394,6 @@ def build_parser():
         p.add_argument("--model", help="model JSON file")
         p.add_argument("--out", help="output artifact path (default: stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=_env_threads())
         p.add_argument("--damping", type=float, default=0.5)
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--max-iters", type=int, default=10_000)
@@ -436,8 +429,6 @@ def _write(text, out_path):
 
 def run(argv=None):
     args = build_parser().parse_args(argv)
-    if args.threads:
-        _kernels.set_num_threads(args.threads)
     needs_model = args.command not in ("rotinv-spectrum",)
     if needs_model and not args.model:
         print("error: --model is required", file=sys.stderr)

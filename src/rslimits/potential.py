@@ -99,11 +99,7 @@ def r_star(model, q):
     for b in model.couplings:
         bq = b @ q
         out += bq @ b.T + (b.T @ q) @ b
-    out = psdlinalg.sym(out)
-    if psdlinalg.is_psd(q) and not psdlinalg.is_psd(out, tol=1e-7):
-        warnings.warn("r_star(q) left the PSD cone on a PSD input; "
-                      "check the coupling matrices", RuntimeWarning)
-    return out
+    return psdlinalg.sym(out)
 
 
 def potential(model, r, q, quad=None, check_interval=True):
@@ -156,7 +152,7 @@ def coupling_structure_matrix(model):
     d2 = model.d * model.d
     H = np.zeros((d2, d2))
     for b in model.couplings:
-        kb = psdlinalg.kron(b, b)
+        kb = np.kron(b, b)
         H += kb + kb.T
     return H
 

@@ -88,8 +88,3 @@ def gaussian(cov):
 def rademacher():
     """Scalar +-1 prior with equal weights (rho = 1)."""
     return discrete([[1.0], [-1.0]], [0.5, 0.5])
-
-
-def second_moment(prior):
-    """Module-level alias for :meth:`Prior.second_moment`."""
-    return prior.second_moment()

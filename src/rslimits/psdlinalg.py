@@ -89,15 +89,6 @@ def duplication_matrix(d):
     return D
 
 
-def kron(a, b):
-    """Kronecker product with (i*p+k, j*q+l) indexing (numpy convention)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    check_finite(a, "kron operand a")
-    check_finite(b, "kron operand b")
-    return np.kron(a, b)
-
-
 def _eigvalsh(a):
     # 1x1 fast path: the generic LAPACK call dominates scalar-model hot loops
     if a.shape == (1, 1):
@@ -105,20 +96,24 @@ def _eigvalsh(a):
     return np.linalg.eigvalsh(a)
 
 
+def _cone_test(a, tol):
+    """(passes, min eigenvalue) of the relative cone test on a symmetric ``a``."""
+    w = _eigvalsh(a)
+    min_eig = w.min()
+    return bool(min_eig >= -tol * max(1.0, np.abs(w).max())), min_eig
+
+
 def is_psd(m, tol=DEFAULT_PSD_TOL):
     """Cone membership test: min eigenvalue >= -tol * max(1, spectral norm)."""
-    a = check_symmetric(m)
-    w = _eigvalsh(a)
-    scale = max(1.0, np.abs(w).max()) if w.size else 1.0
-    return bool(w.min() >= -tol * scale) if w.size else True
+    return _cone_test(check_symmetric(m), tol)[0]
 
 
 def check_psd(m, tol=DEFAULT_PSD_TOL, name="matrix"):
     """Symmetrize and raise unless ``m`` passes :func:`is_psd` at ``tol``."""
     a = check_symmetric(m, name=name)
-    if not is_psd(a, tol):
-        w = _eigvalsh(a)
-        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {w.min():.3e})")
+    passes, min_eig = _cone_test(a, tol)
+    if not passes:
+        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {min_eig:.3e})")
     return a
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import psdlinalg
-from .channel import mmse_matrix, mutual_information
+from .channel import mmse_matrix
 from .potential import (check_hypothesis, coupling_structure_matrix, potential,
                         potential_at_stationary_q, r_star)
 from .quadrature import default_scheme
@@ -151,13 +151,6 @@ def solve_f(model, settings=None, quad=None, extra_inits=()):
     if not converged:
         best = replace(best, converged=False)
     return best
-
-
-def solve_f_multi(model, settings=None, quad=None, extra_inits=()):
-    """All fixed-point runs (one per init), for branch inspection."""
-    settings = settings or SolveSettings()
-    quad = quad or default_scheme(model.d)
-    return _candidate_runs(model, settings, quad, extra_inits)
 
 
 def _dedupe_fixed_points(runs, tol=1e-6):
@@ -338,19 +331,28 @@ class SweepPath:
     index: int = 0
     entry: tuple = (0, 0)
 
-    def apply(self, model, value):
+    def check(self, model):
+        """Raise ValueError unless the path names an existing entry of ``model``."""
         if self.kind == "coupling":
-            if not (0 <= self.index < model.num_views):
-                raise ValueError(f"coupling index {self.index} out of range")
+            if not 0 <= self.index < model.num_views:
+                raise ValueError(f"coupling index {self.index} out of range "
+                                 f"(the model has {model.num_views} couplings)")
+        elif self.kind == "s-entry":
+            if not all(0 <= i < model.d for i in self.entry):
+                raise ValueError(f"S entry {tuple(self.entry)} out of range for d = {model.d}")
+        else:
+            raise ValueError(f"unknown sweep path kind {self.kind!r}")
+
+    def apply(self, model, value):
+        """``model`` at grid value ``value``; the path must have passed :meth:`check`."""
+        if self.kind == "coupling":
             bs = list(model.couplings)
             bs[self.index] = value * bs[self.index]
             return model.with_couplings(bs)
-        if self.kind == "s-entry":
-            k, l = self.entry
-            s = model.s.copy()
-            s[k, l] = s[l, k] = value
-            return model.with_s(s)
-        raise ValueError(f"unknown sweep path kind {self.kind!r}")
+        k, l = self.entry
+        s = model.s.copy()
+        s[k, l] = s[l, k] = value
+        return model.with_s(s)
 
 
 @dataclass(frozen=True)
@@ -372,8 +374,10 @@ def sweep(model, path, grid, settings=None, quad=None, warm_start=True):
     The previous grid point's q* is reused as an extra init (hysteresis
     tracking near first-order transitions), which makes the sweep sequential
     by contract.  A failing point yields an unconverged row and the sweep
-    continues.
+    continues.  A path that names no entry of ``model`` raises ValueError
+    before any point is solved.
     """
+    path.check(model)
     settings = settings or SolveSettings()
     quad = quad or default_scheme(model.d)
     rows = []

@@ -1,8 +1,9 @@
 """Acceptance gate: every shipped criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.  Timings are wall-clock for the criterion body (numba kernels are
-warmed once up front so compile time is not billed to any criterion).
+criterion.  Timings are wall-clock for the criterion body (the solver and
+oracle paths run once up front, so first-call costs such as lazy imports and
+quadrature-node caches are not billed to any criterion).
 """
 
 import time
@@ -31,7 +32,7 @@ def report(name, ok, detail, t0):
 
 
 @pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
+def warm_first_calls():
     m = rademacher_model(2.0, s=0.2)
     solver.solve_f(m, SolveSettings(max_iters=5))
     oracle.finite_mi(m, 2, 2, seed=0)

@@ -202,12 +202,16 @@ def test_rotinv_subcommands(tmp_path):
     assert len(doc2["atoms"]) == 200
 
 
-def test_exit_code_input_error(tmp_path):
+def test_exit_code_input_error(rademacher_file, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"d": 1, "couplings": [], "s": [[0.0]], '
                    '"prior": {"discrete": {"atoms": [[1.0]], "weights": [0.9]}}}')
     assert cli.run(["solve", "--model", str(bad)]) == cli.EXIT_INPUT
     assert cli.run(["solve", "--model", str(tmp_path / "missing.json")]) == cli.EXIT_INPUT
+    for path, grid in [("coupling:0", "0:1:0"), ("coupling:0", "0:inf:1"),
+                       ("s:3,3", "0,1"), ("coupling:5", "0,1")]:
+        assert cli.run(["sweep", "--model", rademacher_file, "--path", path,
+                        "--grid", grid]) == cli.EXIT_INPUT
 
 
 def test_exit_code_nonconvergence(rademacher_file, tmp_path):

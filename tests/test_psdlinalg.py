@@ -65,34 +65,6 @@ def test_duplication_identity_exact(d, seed):
     assert np.linalg.matrix_rank(D) == d * (d + 1) // 2
 
 
-def test_kron_identity():
-    npt.assert_array_equal(pl.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_nilpotent_single_entry():
-    n = np.array([[0.0, 1.0], [0.0, 0.0]])
-    k = pl.kron(n, n)
-    expected = np.zeros((4, 4))
-    expected[0, 3] = 1.0  # row 1, col 4 in 1-indexed terms
-    npt.assert_array_equal(k, expected)
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.integers(0, 2**32 - 1))
-def test_kron_mixed_product(seed):
-    rng = np.random.default_rng(seed)
-    a, b, c, d = (rng.standard_normal((3, 3)) for _ in range(4))
-    lhs = pl.kron(a, b) @ pl.kron(c, d)
-    rhs = pl.kron(a @ c, b @ d)
-    npt.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-
-def test_kron_mixed_product_2x2(rng):
-    a, b, c, d = (rng.standard_normal((2, 2)) for _ in range(4))
-    npt.assert_allclose(pl.kron(a, b) @ pl.kron(c, d), pl.kron(a @ c, b @ d),
-                        rtol=1e-12, atol=1e-12)
-
-
 def test_is_psd_examples():
     assert pl.is_psd(np.eye(3), tol=1e-9)
     assert not pl.is_psd([[0.0, 1.0], [1.0, 0.0]])
