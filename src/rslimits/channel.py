@@ -14,12 +14,18 @@ form
 
 with log-sum-exp, which avoids density ratios entirely; the same logits give
 the posterior weights used for the covariance.
+
+Validation policy: :func:`mutual_information` and :func:`mmse_matrix` check
+``s`` and ``r`` (symmetric PSD, d x d) and pass A = (S + r)^{1/2} to the
+private cores ``_mi_core`` / ``_mmse_core``, which check nothing.  Callers
+that build A from checked inputs (the state-evolution loop, the potential,
+the rotationally invariant module) call the cores directly.
 """
 
 import numpy as np
 
 from . import _kernels, psdlinalg
-from .priors import DISCRETE, GAUSSIAN
+from .priors import GAUSSIAN
 from .quadrature import default_scheme
 
 
@@ -32,14 +38,45 @@ def _channel_matrix(prior, s, r):
     return psdlinalg.sqrtm_psd(s + r)
 
 
-def _discrete_setup(prior, A):
+def _discrete_moments(prior, a, quad):
+    """Kernel moments (mi, second moment, mean outer product) of a discrete prior."""
+    quad = quad or default_scheme(prior.dim)
+    nodes, node_w = quad.nodes_weights(prior.dim)
     atoms = prior.atoms
     delta = atoms[:, None, :] - atoms[None, :, :]       # x_k - x_j
-    D = np.einsum("kjt,td->kjd", delta, A)              # A (x_k - x_j)
+    D = np.einsum("kjt,td->kjd", delta, a)              # A (x_k - x_j)
     c = -0.5 * np.einsum("kjd,kjd->kj", D, D)
     with np.errstate(divide="ignore"):
         logw = np.log(prior.weights)
-    return logw, c, D
+    return _kernels.channel_discrete_moments(logw, c, D, atoms, nodes, node_w)
+
+
+def _mi_core(prior, a, quad):
+    """I(X; A X + W) for a trusted channel matrix ``a`` (symmetric PSD, d x d)."""
+    if prior.kind == GAUSSIAN:
+        M = np.eye(prior.dim) + a @ prior.cov @ a
+        sign, logdet = np.linalg.slogdet(M)
+        if sign <= 0:
+            raise FloatingPointError("log-det of I + A Sigma A not positive")
+        return 0.5 * logdet
+    mi, _, _ = _discrete_moments(prior, a, quad)
+    if not np.isfinite(mi):
+        raise FloatingPointError("quadrature produced a non-finite mutual information")
+    return float(mi)
+
+
+def _mmse_core(prior, a, quad):
+    """E[cov(X | A X + W)] for a trusted channel matrix ``a`` (symmetric PSD, d x d)."""
+    if prior.kind == GAUSSIAN:
+        Sig = prior.cov
+        M = np.eye(prior.dim) + a @ Sig @ a
+        out = Sig - Sig @ a @ np.linalg.solve(M, a @ Sig)
+        return psdlinalg.project_psd(out)
+    _, second, outer = _discrete_moments(prior, a, quad)
+    cov = second - outer
+    if not np.all(np.isfinite(cov)):
+        raise FloatingPointError("quadrature produced a non-finite MMSE matrix")
+    return psdlinalg.project_psd(cov)
 
 
 def mutual_information(prior, s, r, quad=None):
@@ -48,20 +85,7 @@ def mutual_information(prior, s, r, quad=None):
     Gaussian prior with covariance Sigma: exactly 0.5 * logdet(I + A Sigma A)
     with A the symmetric PSD root of S + r.
     """
-    A = _channel_matrix(prior, s, r)
-    if prior.kind == GAUSSIAN:
-        M = np.eye(prior.dim) + A @ prior.cov @ A
-        sign, logdet = np.linalg.slogdet(M)
-        if sign <= 0:
-            raise FloatingPointError("log-det of I + A Sigma A not positive")
-        return 0.5 * logdet
-    quad = quad or default_scheme(prior.dim)
-    nodes, node_w = quad.nodes_weights(prior.dim)
-    logw, c, D = _discrete_setup(prior, A)
-    mi, _, _ = _kernels.channel_discrete_moments(logw, c, D, prior.atoms, nodes, node_w)
-    if not np.isfinite(mi):
-        raise FloatingPointError("quadrature produced a non-finite mutual information")
-    return float(mi)
+    return _mi_core(prior, _channel_matrix(prior, s, r), quad)
 
 
 def mmse_matrix(prior, s, r, quad=None):
@@ -70,17 +94,4 @@ def mmse_matrix(prior, s, r, quad=None):
     Gaussian prior: Sigma - Sigma A (I + A Sigma A)^{-1} A Sigma, valid for
     singular Sigma as well (equals (Sigma^{-1} + A^2)^{-1} when invertible).
     """
-    A = _channel_matrix(prior, s, r)
-    if prior.kind == GAUSSIAN:
-        Sig = prior.cov
-        M = np.eye(prior.dim) + A @ Sig @ A
-        out = Sig - Sig @ A @ np.linalg.solve(M, A @ Sig)
-        return psdlinalg.project_psd(out)
-    quad = quad or default_scheme(prior.dim)
-    nodes, node_w = quad.nodes_weights(prior.dim)
-    logw, c, D = _discrete_setup(prior, A)
-    _, second, outer = _kernels.channel_discrete_moments(logw, c, D, prior.atoms, nodes, node_w)
-    cov = second - outer
-    if not np.all(np.isfinite(cov)):
-        raise FloatingPointError("quadrature produced a non-finite MMSE matrix")
-    return psdlinalg.project_psd(cov)
+    return _mmse_core(prior, _channel_matrix(prior, s, r), quad)

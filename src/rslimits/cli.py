@@ -15,13 +15,15 @@ import sys
 
 import numpy as np
 
-from . import oracle, priors, psdlinalg, rotinv, solver
+from . import oracle, priors, rotinv, solver
 from .potential import ModelSpec, check_hypothesis, potential
 from .quadrature import default_scheme, gauss_hermite, monte_carlo
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOCONV = 2
+
+MAX_GRID_POINTS = 10_000     # each sweep point is a full solve
 
 
 # ---------------------------------------------------------------------------
@@ -146,19 +148,14 @@ def parse_model(text):
     couplings = tuple(_as_float_array(b, f"couplings[{i}]", (d, d))
                       for i, b in enumerate(couplings_doc))
     s = _as_float_array(_need(doc, "s", ""), "s", (d, d))
-    try:
-        s = psdlinalg.check_symmetric(s, tol=1e-9, name="s")
-    except ValueError as exc:
-        raise ConfigError(f"field 's': {exc}") from None
-    if not psdlinalg.is_psd(s):
-        raise ConfigError("field 's': not positive semidefinite")
     prior = _parse_prior(_need(doc, "prior", ""), "prior")
     if prior.dim != d:
         raise ConfigError(f"field 'prior': dimension {prior.dim} != d = {d}")
     try:
+        # every other field is checked above: ModelSpec's only objection left is to s
         return ModelSpec(d, couplings, s, prior)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"field 's': {exc}") from None
 
 
 def serialize_model(model):
@@ -217,9 +214,9 @@ def _settings(args):
                                 max_iters=args.max_iters)
 
 
-def _load_model(args):
+def _load_model(args, parse=parse_model):
     with open(args.model, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        return parse(fh.read())
 
 
 def _fixed_point_doc(res):
@@ -295,7 +292,10 @@ def _parse_grid(text):
         start, stop, step = map(float, parts)
         if not all(map(math.isfinite, (start, stop, step))) or step == 0.0:
             raise ConfigError("--grid START:STOP:STEP needs finite values and a nonzero STEP")
-        count = int(round((stop - start) / step)) + 1
+        span = (stop - start) / step          # inf when STEP is tiny against the range
+        if not span <= MAX_GRID_POINTS - 1:
+            raise ConfigError(f"--grid range has more than {MAX_GRID_POINTS} points")
+        count = int(round(span)) + 1
         if count < 1:
             raise ConfigError("--grid range is empty")
         return [start + i * step for i in range(count)]
@@ -337,13 +337,8 @@ def _cmd_oracle(args):
     return doc, EXIT_OK
 
 
-def _load_rotinv(args):
-    with open(args.model, "r", encoding="utf-8") as fh:
-        return parse_rotinv_model(fh.read())
-
-
 def _cmd_rotinv_solve(args):
-    model = _load_rotinv(args)
+    model = _load_model(args, parse_rotinv_model)
     quad = gauss_hermite(args.quad_nodes or 63)
     sol = rotinv.solve_rotinv(model, _settings(args), quad)
     doc = {

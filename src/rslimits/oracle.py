@@ -46,9 +46,14 @@ class PosteriorSummary:
     replica_overlap_mean: np.ndarray  # (d, d) two-replica overlap
 
 
-def _check_enumerable(model, n, budget):
+def _check_enumerable(model, n, budget, data_samples=1):
+    """The one check of an oracle request; returns the atom count K."""
     if model.prior.kind != DISCRETE:
         raise ValueError("exact enumeration requires a discrete prior")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if data_samples < 1:
+        raise ValueError(f"data_samples must be >= 1, got {data_samples}")
     K = model.prior.atom_count
     if K ** n > budget:
         raise ValueError(f"enumeration budget exceeded: {K}^{n} = {K ** n} > {budget}")
@@ -73,8 +78,6 @@ def sample_instance(model, n, seed, budget=DEFAULT_BUDGET):
     streams derived from the seed), so e.g. the noise realization does not
     change when the prior gains atoms.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     _check_enumerable(model, n, budget)
     prior = model.prior
     signal_rng = _rng(seed, 0)
@@ -178,7 +181,7 @@ def finite_mi(model, n, data_samples, seed, budget=DEFAULT_BUDGET):
     sample, which couples them and cuts the variance.  Nonnegative in
     expectation (it is a KL divergence).
     """
-    K = _check_enumerable(model, n, budget)
+    K = _check_enumerable(model, n, budget, data_samples)
     configs = enumerate_configs(K, n)
     vals = np.empty(data_samples)
     for rep in range(data_samples):
@@ -211,7 +214,7 @@ def nishimori_residual(model, n, data_samples, seed, budget=DEFAULT_BUDGET):
     the returned std_err is the Frobenius norm of the entrywise standard
     errors of the difference, for "residual <= k sigma" style checks.
     """
-    K = _check_enumerable(model, n, budget)
+    K = _check_enumerable(model, n, budget, data_samples)
     configs = enumerate_configs(K, n)
     atoms = model.prior.atoms
     d = model.d

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import psdlinalg
-from .channel import mutual_information
+from .channel import _mi_core, mutual_information
 from .priors import Prior
 from .quadrature import default_scheme
 
@@ -90,9 +90,10 @@ def r_star(model, q):
     """State-evolution map r*(q) = sum_l (B_l q B_l^T + B_l^T q B_l).
 
     Linear in q, symmetric by construction, and maps the PSD cone into
-    itself (each summand is a congruence of q).
+    itself (each summand is a congruence of q).  ``q`` is trusted to be
+    symmetric (callers check it where it enters); only its shape is checked.
     """
-    q = psdlinalg.check_symmetric(q, name="q")
+    q = np.asarray(q, dtype=np.float64)
     if q.shape != (model.d, model.d):
         raise ValueError(f"q must be {model.d}x{model.d}, got {q.shape}")
     out = np.zeros((model.d, model.d))
@@ -110,12 +111,14 @@ def potential(model, r, q, quad=None, check_interval=True):
     """
     r = psdlinalg.check_psd(r, name="r")
     q = psdlinalg.check_symmetric(q, name="q")
+    if r.shape != (model.d, model.d) or q.shape != (model.d, model.d):
+        raise ValueError(f"r and q must be {model.d}x{model.d}")
     quad = quad or default_scheme(model.d)
     rho = model.rho_bar()
     if check_interval and not (psdlinalg.is_psd(q, tol=1e-7)
                                and psdlinalg.loewner_leq(q, rho, tol=1e-7)):
         warnings.warn("q lies outside the interval [0, rho_bar]", RuntimeWarning)
-    channel_term = mutual_information(model.prior, model.s, r, quad)
+    channel_term = _mi_core(model.prior, psdlinalg.sqrtm_psd(model.s + r), quad)
     linear_term = 0.5 * _trace_prod(r, q - rho)
     quartic = 0.0
     for b in model.couplings:
@@ -170,7 +173,7 @@ def check_hypothesis(model):
                             min_eigenvalue=min_eig)
 
 
-def q_hessian(model, r=None):
+def q_hessian(model):
     """Hessian of q -> Tr[r q] - sum_l Tr[B_l^T q B_l q] in vech coordinates.
 
     Equals -D_d^T sum_l (B_l x B_l + (B_l x B_l)^T) D_d: independent of r

@@ -11,6 +11,12 @@ Conventions used throughout the package:
 * Eigendecompositions of symmetric matrices always go through
   ``numpy.linalg.eigh`` / ``eigvalsh`` (real spectrum guaranteed); the
   generic nonsymmetric routines are never used here.
+
+Validation policy: each input is checked once, where it enters the program
+(constructors such as ``Prior`` and ``ModelSpec``, CLI parsing, and public
+functions that take a raw matrix), by :func:`check_symmetric`,
+:func:`check_psd` or :func:`is_psd`.  :func:`sqrtm_psd` assumes symmetric PSD
+input and checks nothing, so hot loops on checked matrices pay no validation.
 """
 
 import numpy as np
@@ -108,10 +114,10 @@ def is_psd(m, tol=DEFAULT_PSD_TOL):
     return _cone_test(check_symmetric(m), tol)[0]
 
 
-def check_psd(m, tol=DEFAULT_PSD_TOL, name="matrix"):
-    """Symmetrize and raise unless ``m`` passes :func:`is_psd` at ``tol``."""
+def check_psd(m, name="matrix"):
+    """Symmetrize and raise unless ``m`` passes :func:`is_psd`."""
     a = check_symmetric(m, name=name)
-    passes, min_eig = _cone_test(a, tol)
+    passes, min_eig = _cone_test(a, DEFAULT_PSD_TOL)
     if not passes:
         raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {min_eig:.3e})")
     return a
@@ -142,15 +148,17 @@ def loewner_leq(a, b, tol=DEFAULT_PSD_TOL):
     return is_psd(b - a, tol)
 
 
-def sqrtm_psd(m, tol=DEFAULT_PSD_TOL):
+def sqrtm_psd(m):
     """Symmetric PSD square root via eigendecomposition.
 
+    Precondition: ``m`` is symmetric PSD (checked by the caller); nothing is
+    re-checked here.  Eigenvalues below zero by rounding are clipped to zero.
     The symmetric root (not a Cholesky factor) is required: downstream
     matrix-valued identities depend on the root itself, not just on the
     Gram product.  Singular input is handled naturally (zero directions
     stay zero).
     """
-    a = check_psd(m, tol)
+    a = as_matrix(m)
     if a.shape == (1, 1):
         return np.sqrt(np.maximum(a, 0.0))
     w, v = np.linalg.eigh(a)

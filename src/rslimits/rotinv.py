@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import mmse_matrix, mutual_information
+from .channel import _mi_core, _mmse_core
 from .quadrature import gauss_hermite
 from .solver import SolveSettings
 
@@ -108,15 +108,13 @@ def integrated_r(model, a):
     return float(model.alpha * np.sum(t.weights * np.log1p(a * t.atoms)))
 
 
-_SCALAR_ZERO = np.zeros((1, 1))
-
-
+# scalar channel sqrt(r) X + Z, A = [[sqrt(r)]]: r >= 0 by construction, checked in i_rs
 def _scalar_mi(model, r, quad):
-    return mutual_information(model.prior, _SCALAR_ZERO, np.array([[r]]), quad)
+    return _mi_core(model.prior, np.array([[math.sqrt(r)]]), quad)
 
 
 def _scalar_mmse(model, r, quad):
-    return float(mmse_matrix(model.prior, _SCALAR_ZERO, np.array([[r]]), quad)[0, 0])
+    return float(_mmse_core(model.prior, np.array([[math.sqrt(r)]]), quad)[0, 0])
 
 
 def i_rs(model, e, r, quad=None):
@@ -154,7 +152,6 @@ def _se_residual(model, e, r, quad):
 def _damped_iteration(model, e0, settings, quad, origin):
     e = float(np.clip(e0, 0.0, model.rho()))
     beta = settings.damping
-    residual = np.inf
     for _ in range(settings.max_iters):
         e_next, r = _se_map(model, e, quad)
         residual = abs(e_next - e)

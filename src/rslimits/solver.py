@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import psdlinalg
-from .channel import mmse_matrix
+from .channel import _mmse_core, mmse_matrix
 from .potential import (check_hypothesis, coupling_structure_matrix, potential,
                         potential_at_stationary_q, r_star)
 from .quadrature import default_scheme
@@ -29,24 +29,24 @@ from .quadrature import default_scheme
 UNINFORMATIVE_SCALE = 1e-3   # strict zero can be a symmetry-pinned fixed point
 DEGENERACY_VALUE_TOL = 1e-6
 DEGENERACY_Q_TOL = 1e-5
+FINITE_DIFF_STEP = 1e-4      # relative step of the S-gradient in predict_mmse
 
 
 @dataclass(frozen=True)
 class SolveSettings:
-    """Damping, tolerances and starting points for the fixed-point solver."""
+    """Damping, tolerance and iteration cap for the fixed-point solver."""
 
     damping: float = 0.5
     tol: float = 1e-10
     max_iters: int = 10_000
-    inits: tuple | None = None        # ((label, q0), ...); None -> defaults
-    finite_diff_step: float = 1e-4
-    polish: bool = False              # derivative-free refinement of the inf
 
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -60,29 +60,23 @@ class FixedPointResult:
     converged: bool
 
 
-def default_inits(model):
-    rho = model.rho_bar()
-    return (("uninformative", UNINFORMATIVE_SCALE * rho), ("informative", rho.copy()))
-
-
 def se_iterate(model, q0, settings=None, quad=None, init_label="custom"):
     """Damped state evolution q <- (1-beta) q + beta proj_psd(rho - M_S(r*(q))).
 
     Stops when the Frobenius norm of the undamped update falls below tol.
     Non-convergence is reported through ``converged=False`` with the last
-    iterate, not an exception.
+    iterate, not an exception.  ``q0`` is checked once, by its projection
+    onto the PSD cone; the loop validates nothing.
     """
     settings = settings or SolveSettings()
     quad = quad or default_scheme(model.d)
     rho = model.rho_bar()
     q = psdlinalg.project_psd(np.asarray(q0, dtype=np.float64))
     beta = settings.damping
-    residual = np.inf
     converged = False
-    iterations = 0
     for iterations in range(1, settings.max_iters + 1):
-        target = psdlinalg.project_psd(rho - mmse_matrix(model.prior, model.s,
-                                                         r_star(model, q), quad))
+        a = psdlinalg.sqrtm_psd(model.s + r_star(model, q))
+        target = psdlinalg.project_psd(rho - _mmse_core(model.prior, a, quad))
         residual = psdlinalg.frobenius(target - q)
         if residual <= settings.tol:
             converged = True
@@ -101,40 +95,9 @@ def se_iterate(model, q0, settings=None, quad=None, init_label="custom"):
 
 
 def _candidate_runs(model, settings, quad, extra_inits=()):
-    inits = list(settings.inits) if settings.inits is not None else list(default_inits(model))
-    inits.extend(extra_inits)
-    return [se_iterate(model, q0, settings, quad, init_label=label)
-            for label, q0 in inits]
-
-
-def _polish_candidate(model, settings, quad, start):
-    """Derivative-free minimization of the reduced potential over q = L L^T."""
-    from scipy.optimize import minimize
-
-    d = model.d
-    tril = np.tril_indices(d)
-    w, v = np.linalg.eigh(start.q_star)
-    L0 = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-
-    def objective(x):
-        L = np.zeros((d, d))
-        L[tril] = x
-        return potential_at_stationary_q(model, L @ L.T, quad)
-
-    res = minimize(objective, L0[tril], method="Nelder-Mead",
-                   options=dict(xatol=1e-9, fatol=1e-12, maxiter=4000))
-    L = np.zeros((d, d))
-    L[tril] = res.x
-    q = psdlinalg.sym(L @ L.T)
-    return FixedPointResult(
-        q_star=q,
-        r_star=r_star(model, q),
-        f_value=float(res.fun),
-        residual=np.nan,
-        iterations=int(res.nit),
-        init_label="polish",
-        converged=bool(res.success),
-    )
+    rho = model.rho_bar()
+    inits = (("uninformative", UNINFORMATIVE_SCALE * rho), ("informative", rho), *extra_inits)
+    return [se_iterate(model, q0, settings, quad, init_label=label) for label, q0 in inits]
 
 
 def solve_f(model, settings=None, quad=None, extra_inits=()):
@@ -142,9 +105,6 @@ def solve_f(model, settings=None, quad=None, extra_inits=()):
     settings = settings or SolveSettings()
     quad = quad or default_scheme(model.d)
     runs = _candidate_runs(model, settings, quad, extra_inits)
-    if settings.polish:
-        best_run = min(runs, key=lambda r: r.f_value)
-        runs.append(_polish_candidate(model, settings, quad, best_run))
     converged = [r for r in runs if r.converged]
     pool = converged if converged else runs
     best = min(pool, key=lambda r: r.f_value)
@@ -178,7 +138,6 @@ def _inner_sup(model, r, q0, settings):
         return q0.copy(), np.inf, 0, False
     step = 1.0 / lip
     q = psdlinalg.project_psd(q0)
-    residual = np.inf
     for it in range(1, settings.max_iters + 1):
         g = 0.5 * (r - r_star(model, q))
         q_new = psdlinalg.project_psd(q + step * g)
@@ -261,7 +220,7 @@ def _symmetric_fd_gradient(model, settings, quad, warm_q):
 
     for k in range(d):
         for l in range(k, d):
-            h = settings.finite_diff_step * (1.0 + abs(s0[k, l]))
+            h = FINITE_DIFF_STEP * (1.0 + abs(s0[k, l]))
             if min_eig > 0:
                 h = min(h, 0.25 * min_eig)
             E = np.zeros((d, d))
@@ -368,7 +327,7 @@ class SweepRow:
     branch: str
 
 
-def sweep(model, path, grid, settings=None, quad=None, warm_start=True):
+def sweep(model, path, grid, settings=None, quad=None):
     """Solve along a parameter path; rows ordered by the grid, deterministic.
 
     The previous grid point's q* is reused as an extra init (hysteresis
@@ -385,7 +344,7 @@ def sweep(model, path, grid, settings=None, quad=None, warm_start=True):
     for value in grid:
         try:
             m = path.apply(model, float(value))
-            extra = (("warm-start", warm_q),) if (warm_start and warm_q is not None) else ()
+            extra = (("warm-start", warm_q),) if warm_q is not None else ()
             res = solve_f(m, settings, quad, extra_inits=extra)
             mmse = mmse_matrix(m.prior, m.s, res.r_star, quad)
             rows.append(SweepRow(

@@ -89,8 +89,12 @@ def test_mi_gaussian_matrix_closed_form(rng):
 
 
 def test_mi_rejects_non_psd():
-    with pytest.raises(ValueError):
-        channel.mutual_information(priors.rademacher(), Z0, [[-1.0]])
+    p = priors.rademacher()
+    for fn in (channel.mutual_information, channel.mmse_matrix):
+        with pytest.raises(ValueError, match="snr matrix r"):
+            fn(p, Z0, [[-1.0]])
+        with pytest.raises(ValueError, match="side channel s"):
+            fn(p, [[-1.0]], [[2.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -209,9 +209,14 @@ def test_exit_code_input_error(rademacher_file, tmp_path):
     assert cli.run(["solve", "--model", str(bad)]) == cli.EXIT_INPUT
     assert cli.run(["solve", "--model", str(tmp_path / "missing.json")]) == cli.EXIT_INPUT
     for path, grid in [("coupling:0", "0:1:0"), ("coupling:0", "0:inf:1"),
-                       ("s:3,3", "0,1"), ("coupling:5", "0,1")]:
+                       ("s:3,3", "0,1"), ("coupling:5", "0,1"),
+                       ("coupling:0", "0:1:1e-320"), ("coupling:0", "0:1e6:1")]:
         assert cli.run(["sweep", "--model", rademacher_file, "--path", path,
                         "--grid", grid]) == cli.EXIT_INPUT
+    for flag, value in (("--max-iters", "0"), ("--tol", "inf")):
+        assert cli.run(["solve", "--model", rademacher_file, flag, value]) == cli.EXIT_INPUT
+    for flags in (["--n", "0"], ["--n", "-1"], ["--n", "2", "--mc-samples", "-5"]):
+        assert cli.run(["oracle", "--model", rademacher_file, *flags]) == cli.EXIT_INPUT
 
 
 def test_exit_code_nonconvergence(rademacher_file, tmp_path):

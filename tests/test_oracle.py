@@ -74,6 +74,14 @@ def test_budget_and_prior_guards():
     g = ModelSpec(1, ([[1.0]],), [[0.0]], priors.gaussian([[1.0]]))
     with pytest.raises(ValueError):
         oracle.sample_instance(g, 2, seed=0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            oracle.finite_mi(m, n, 10, seed=0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            oracle.nishimori_residual(m, n, 10, seed=0)
+    for fn in (oracle.finite_mi, oracle.nishimori_residual):
+        with pytest.raises(ValueError, match="data_samples"):
+            fn(m, 2, -5, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,35 @@ def test_se_iterate_nonconvergence_is_flagged(wigner_gaussian):
     assert res.iterations == 3
 
 
+def test_se_iterate_loop_runs_unchecked(monkeypatch):
+    # inputs are checked where they enter: the count of symmetry checks must
+    # not grow with the number of iterations
+    calls = []
+    check_symmetric = psdlinalg.check_symmetric
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check_symmetric(*args, **kwargs)
+
+    monkeypatch.setattr(psdlinalg, "check_symmetric", counting)
+    m = rademacher_model(1.05, s=0.1)     # near lambda_c: hundreds of iterations
+    counts = []
+    for max_iters in (5, 50):
+        calls.clear()
+        settings = solver.SolveSettings(tol=1e-14, max_iters=max_iters)
+        res = solver.se_iterate(m, m.rho_bar(), settings, GH63)
+        assert not res.converged and res.iterations == max_iters
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_settings_reject_out_of_range():
+    for field, bad in (("max_iters", 0), ("max_iters", -3),
+                       ("tol", np.inf), ("tol", np.nan), ("tol", 0.0)):
+        with pytest.raises(ValueError, match=field):
+            solver.SolveSettings(**{field: bad})
+
+
 # ---------------------------------------------------------------------------
 # solve_f
 # ---------------------------------------------------------------------------
@@ -144,12 +173,6 @@ def test_solve_f_cone_interval(rng, fast_settings):
         rho = m.rho_bar()
         assert psdlinalg.is_psd(res.q_star, tol=1e-7)
         assert psdlinalg.loewner_leq(res.q_star, rho, tol=1e-7)
-
-
-def test_solve_f_polish(wigner_gaussian):
-    settings = solver.SolveSettings(polish=True)
-    res = solver.solve_f(wigner_gaussian, settings)
-    npt.assert_allclose(res.f_value, WIGNER_F, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
