@@ -322,17 +322,16 @@ def _cmd_sweep(args):
 def _cmd_oracle(args):
     model = _load_model(args)
     samples = args.mc_samples or 2000
-    fm = oracle.finite_mi(model, args.n, samples, args.seed)
-    nr = oracle.nishimori_residual(model, args.n, samples, args.seed)
+    res = oracle.replica_average(model, args.n, samples, args.seed)
     doc = {
         "n": args.n,
         "samples": samples,
-        "mi_per_row": fm.mi_per_row,
-        "mi_std_err": fm.std_err,
-        "nishimori_residual": nr.residual,
-        "nishimori_std_err": nr.std_err,
-        "overlap_mean": _matrix(nr.overlap_mean),
-        "replica_overlap_mean": _matrix(nr.replica_overlap_mean),
+        "mi_per_row": res.mi_per_row,
+        "mi_std_err": res.mi_std_err,
+        "nishimori_residual": res.nishimori_residual,
+        "nishimori_std_err": res.nishimori_std_err,
+        "overlap_mean": _matrix(res.overlap_mean),
+        "replica_overlap_mean": _matrix(res.replica_overlap_mean),
     }
     return doc, EXIT_OK
 

@@ -7,6 +7,11 @@ yields exact per-row means/covariances, the log evidence, overlap statistics
 and finite-n mutual information estimates.  These validate the asymptotic
 predictions of the variational solver at desk scale.
 
+One routine, ``_score``, enumerates and normalizes an instance.
+``exact_posterior`` calls it once; ``replica_average`` calls it once per
+seeded data replica and feeds both of its estimates (finite-n mutual
+information and the Nishimori residual) from that one pass.
+
 The enumeration cost is the reason for the budget: atom_count**n
 configurations, each scored in O(n^2) through a hot kernel.  Rows are the
 i.i.d. unit, so enumeration runs over rows, not entries.
@@ -22,6 +27,9 @@ from . import _kernels, psdlinalg
 from .priors import DISCRETE
 
 DEFAULT_BUDGET = 200_000
+# np.indices builds an (n + 1)-dimensional array and numpy allows 64 axes, so
+# at most 63 rows can be enumerated whatever the atom count.
+MAX_ROWS = 63
 
 
 @dataclass(frozen=True)
@@ -54,9 +62,11 @@ def _check_enumerable(model, n, budget, data_samples=1):
         raise ValueError(f"n must be >= 1, got {n}")
     if data_samples < 1:
         raise ValueError(f"data_samples must be >= 1, got {data_samples}")
+    if n > MAX_ROWS:
+        raise ValueError(f"enumeration budget exceeded: n = {n} > {MAX_ROWS} rows")
     K = model.prior.atom_count
     if K ** n > budget:
-        raise ValueError(f"enumeration budget exceeded: {K}^{n} = {K ** n} > {budget}")
+        raise ValueError(f"enumeration budget exceeded: {K}^{n} configurations > {budget}")
     return K
 
 
@@ -99,17 +109,17 @@ def enumerate_configs(atom_count, n):
     return grids.reshape(n, -1).T.astype(np.int64).copy()
 
 
-def _instance_terms(inst):
+def _instance_terms(inst, a_root):
     """Per-configuration statistics of the log posterior weight.
 
-    Returns (T1, u1, E, const) with the data-dependent quadratic pieces:
-    the residual of configuration x decomposes as
+    ``a_root`` is S^{1/2}, computed once by the caller.  Returns
+    (T1, u1, E, const) with the data-dependent quadratic pieces: the residual
+    of configuration x decomposes as
         ||data - mean(x)||^2 = const + sum_i (-2 T1[i, c_i] + u1[c_i])
                                + sum_ij E[i, j, c_i, c_j].
     """
     model, n = inst.model, inst.n
     atoms = model.prior.atoms
-    a_root = psdlinalg.sqrtm_psd(model.s)
     sa = atoms @ a_root                                  # (K, d)
     T1 = inst.y_tilde @ sa.T                             # (n, K)
     u1 = np.einsum("kd,kd->k", sa, sa)                   # (K,)
@@ -139,109 +149,99 @@ def _log_weights(inst, configs, T1, u1, E):
     return logw[configs].sum(axis=1) - 0.5 * ss_red
 
 
-def exact_posterior(inst, budget=DEFAULT_BUDGET):
-    """Enumerate the posterior exactly; log-domain weights throughout."""
-    model = inst.model
-    K = _check_enumerable(model, inst.n, budget)
-    configs = enumerate_configs(K, inst.n)
-    T1, u1, E, const = _instance_terms(inst)
+def _score(inst, configs, a_root):
+    """Enumerate one instance: the single scoring routine of the oracle.
+
+    Returns (log_z, ll_signal, const, marg): the log normalizer of the
+    configuration weights, the log weight of the true signal without its
+    prior factor, the data constant both leave out, and the (n, K) row
+    marginals of the posterior.
+    """
+    T1, u1, E, const = _instance_terms(inst, a_root)
     lw = _log_weights(inst, configs, T1, u1, E)
     log_z = float(logsumexp(lw))
-    p = np.exp(lw - log_z)
-    marg = _kernels.config_row_marginals(configs, p, K)   # (n, K)
+    marg = _kernels.config_row_marginals(configs, np.exp(lw - log_z),
+                                         inst.model.prior.atom_count)
+    return log_z, -0.5 * _signal_quadratic(inst, T1, u1, E), const, marg
+
+
+def exact_posterior(inst, budget=DEFAULT_BUDGET):
+    """Enumerate the posterior exactly; log-domain weights throughout."""
+    model, n = inst.model, inst.n
+    K = _check_enumerable(model, n, budget)
+    log_z, _, const, marg = _score(inst, enumerate_configs(K, n),
+                                   psdlinalg.sqrtm_psd(model.s))
     atoms = model.prior.atoms
     per_row_mean = marg @ atoms
-    n = inst.n
     second = np.einsum("ik,ka,kb->ab", marg, atoms, atoms) / n
     outer = per_row_mean.T @ per_row_mean / n
-    cov_avg = psdlinalg.project_psd(second - outer)
-    overlap = inst.signal.T @ per_row_mean / n
-    replica_overlap = per_row_mean.T @ per_row_mean / n
     return PosteriorSummary(
         per_row_mean=per_row_mean,
-        per_row_cov_avg=cov_avg,
+        per_row_cov_avg=psdlinalg.project_psd(second - outer),
         log_evidence=log_z - 0.5 * const,
-        overlap_mean=overlap,
-        replica_overlap_mean=replica_overlap,
+        overlap_mean=inst.signal.T @ per_row_mean / n,
+        replica_overlap_mean=outer,
     )
 
 
 @dataclass(frozen=True)
-class FiniteMiResult:
+class ReplicaAverage:
     mi_per_row: float
-    std_err: float
+    mi_std_err: float
+    nishimori_residual: float
+    nishimori_std_err: float
+    overlap_mean: np.ndarray           # (d, d) E<Q>
+    replica_overlap_mean: np.ndarray   # (d, d) E<Q^(1,2)>
     samples: int
 
 
-def finite_mi(model, n, data_samples, seed, budget=DEFAULT_BUDGET):
-    """Monte Carlo estimate of (1/n) I(X; data) over data realizations.
+def replica_average(model, n, data_samples, seed, budget=DEFAULT_BUDGET):
+    """Monte Carlo averages over seeded data replicas, one enumeration each.
 
-    Per realization the estimator is the exact
-    (log p(data | signal) - log p(data)) / n; both terms share the data
-    sample, which couples them and cuts the variance.  Nonnegative in
-    expectation (it is a KL divergence).
+    Replica ``rep`` is ``sample_instance(model, n, seed + (rep,))``.  Two
+    estimates share each enumeration:
+
+    * the finite-n mutual information (1/n) I(X; data), per replica the exact
+      (log p(data | signal) - log p(data)) / n; both terms share the data
+      sample, which couples them and cuts the variance.  Nonnegative in
+      expectation (it is a KL divergence).
+    * the Nishimori residual || E<Q> - E<Q^(1,2)> ||_F.  The Bayes identity
+      makes the expectation of the difference exactly zero; its
+      ``nishimori_std_err`` is the Frobenius norm of the entrywise standard
+      errors of the difference, for "residual <= k sigma" style checks.
+
+    Standard errors are NaN for a single replica.
     """
     K = _check_enumerable(model, n, budget, data_samples)
     configs = enumerate_configs(K, n)
-    vals = np.empty(data_samples)
-    for rep in range(data_samples):
-        inst = sample_instance(model, n, _as_entropy(seed) + (rep,), budget)
-        T1, u1, E, _ = _instance_terms(inst)
-        lw = _log_weights(inst, configs, T1, u1, E)
-        ll_signal = -0.5 * _signal_quadratic(inst, T1, u1, E)
-        vals[rep] = (ll_signal - float(logsumexp(lw))) / n
-    std = float(vals.std(ddof=1)) if data_samples > 1 else float("nan")
-    return FiniteMiResult(
-        mi_per_row=float(vals.mean()),
-        std_err=std / math.sqrt(data_samples) if data_samples > 1 else float("nan"),
-        samples=data_samples,
-    )
-
-
-@dataclass(frozen=True)
-class NishimoriResult:
-    residual: float
-    std_err: float
-    overlap_mean: np.ndarray
-    replica_overlap_mean: np.ndarray
-    samples: int
-
-
-def nishimori_residual(model, n, data_samples, seed, budget=DEFAULT_BUDGET):
-    """|| E<Q> - E<Q^(1,2)> ||_F estimated by Monte Carlo over the data.
-
-    The Bayes identity makes the expectation of the difference exactly zero;
-    the returned std_err is the Frobenius norm of the entrywise standard
-    errors of the difference, for "residual <= k sigma" style checks.
-    """
-    K = _check_enumerable(model, n, budget, data_samples)
-    configs = enumerate_configs(K, n)
+    a_root = psdlinalg.sqrtm_psd(model.s)
     atoms = model.prior.atoms
     d = model.d
+    mi = np.empty(data_samples)
     diffs = np.empty((data_samples, d, d))
     q_sum = np.zeros((d, d))
     r_sum = np.zeros((d, d))
     for rep in range(data_samples):
         inst = sample_instance(model, n, _as_entropy(seed) + (rep,), budget)
-        T1, u1, E, _ = _instance_terms(inst)
-        lw = _log_weights(inst, configs, T1, u1, E)
-        p = np.exp(lw - logsumexp(lw))
-        marg = _kernels.config_row_marginals(configs, p, K)
+        log_z, ll_signal, _, marg = _score(inst, configs, a_root)
+        mi[rep] = (ll_signal - log_z) / n
         mean = marg @ atoms
         q_rep = inst.signal.T @ mean / n
         r_rep = mean.T @ mean / n
         diffs[rep] = q_rep - r_rep
         q_sum += q_rep
         r_sum += r_rep
-    mean_diff = diffs.mean(axis=0)
     if data_samples > 1:
+        mi_se = float(mi.std(ddof=1)) / math.sqrt(data_samples)
         entry_se = diffs.std(axis=0, ddof=1) / math.sqrt(data_samples)
-        std_err = float(np.linalg.norm(entry_se, "fro"))
+        nishimori_se = float(np.linalg.norm(entry_se, "fro"))
     else:
-        std_err = float("nan")
-    return NishimoriResult(
-        residual=float(np.linalg.norm(mean_diff, "fro")),
-        std_err=std_err,
+        mi_se = nishimori_se = float("nan")
+    return ReplicaAverage(
+        mi_per_row=float(mi.mean()),
+        mi_std_err=mi_se,
+        nishimori_residual=float(np.linalg.norm(diffs.mean(axis=0), "fro")),
+        nishimori_std_err=nishimori_se,
         overlap_mean=q_sum / data_samples,
         replica_overlap_mean=r_sum / data_samples,
         samples=data_samples,

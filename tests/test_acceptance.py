@@ -35,7 +35,7 @@ def report(name, ok, detail, t0):
 def warm_first_calls():
     m = rademacher_model(2.0, s=0.2)
     solver.solve_f(m, SolveSettings(max_iters=5))
-    oracle.finite_mi(m, 2, 2, seed=0)
+    oracle.replica_average(m, 2, 2, seed=0)
 
 
 def test_c1_scalar_wigner_analytic():
@@ -174,7 +174,7 @@ def test_c6_finite_n_convergence():
     wins = 0
     rows = []
     for seed in range(20):
-        gaps = {n: abs(oracle.finite_mi(m, n, 2000, seed=(777, seed)).mi_per_row - f)
+        gaps = {n: abs(oracle.replica_average(m, n, 2000, seed=(777, seed)).mi_per_row - f)
                 for n in ns}
         rows.append(gaps)
         wins += int(gaps[10] < gaps[4])
@@ -202,10 +202,11 @@ def test_c7_nishimori_identity():
     details = []
     ok = True
     for i, (m, n) in enumerate(configs):
-        res = oracle.nishimori_residual(m, n, 2000, seed=(55, i))
-        ratio = res.residual / res.std_err if res.std_err > 0 else 0.0
+        res = oracle.replica_average(m, n, 2000, seed=(55, i))
+        ratio = (res.nishimori_residual / res.nishimori_std_err
+                 if res.nishimori_std_err > 0 else 0.0)
         details.append(f"{ratio:.2f}")
-        ok = ok and res.residual <= 4.0 * res.std_err
+        ok = ok and res.nishimori_residual <= 4.0 * res.nishimori_std_err
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300.0
     report("C7 Nishimori identity within 4 MC standard errors", ok,

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rslimits import cli, priors
+from rslimits import _kernels, cli, priors
 from rslimits.potential import ModelSpec
 
 WIGNER_DOC = """
@@ -188,6 +188,20 @@ def test_oracle_subcommand(rademacher_file, tmp_path):
     assert doc["nishimori_residual"] <= 6 * doc["nishimori_std_err"]
 
 
+def test_oracle_enumerates_each_replica_once(rademacher_file, tmp_path, monkeypatch):
+    calls = []
+    kernel = _kernels.config_quadratic_terms
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "config_quadratic_terms", counting)
+    assert cli.run(["oracle", "--model", rademacher_file, "--n", "3", "--mc-samples", "7",
+                    "--out", str(tmp_path / "once.json")]) == 0
+    assert len(calls) == 7
+
+
 def test_rotinv_subcommands(tmp_path):
     model = tmp_path / "rot.json"
     model.write_text(ROTINV_DOC)
@@ -202,7 +216,7 @@ def test_rotinv_subcommands(tmp_path):
     assert len(doc2["atoms"]) == 200
 
 
-def test_exit_code_input_error(rademacher_file, tmp_path):
+def test_exit_code_input_error(rademacher_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"d": 1, "couplings": [], "s": [[0.0]], '
                    '"prior": {"discrete": {"atoms": [[1.0]], "weights": [0.9]}}}')
@@ -217,6 +231,16 @@ def test_exit_code_input_error(rademacher_file, tmp_path):
         assert cli.run(["solve", "--model", rademacher_file, flag, value]) == cli.EXIT_INPUT
     for flags in (["--n", "0"], ["--n", "-1"], ["--n", "2", "--mc-samples", "-5"]):
         assert cli.run(["oracle", "--model", rademacher_file, *flags]) == cli.EXIT_INPUT
+    # more rows than can be enumerated, whatever the atom count
+    for atoms, n in (([[1.0], [0.0], [-1.0]], 20000), ([[1.0]], 64)):
+        weights = [1.0 / len(atoms)] * len(atoms)
+        doc = {"d": 1, "couplings": [[[1.0]]], "s": [[0.0]],
+               "prior": {"discrete": {"atoms": atoms, "weights": weights}}}
+        wide = tmp_path / f"atoms{len(atoms)}.json"
+        wide.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.run(["oracle", "--model", str(wide), "--n", str(n)]) == cli.EXIT_INPUT
+        assert f"enumeration budget exceeded: n = {n} > 63 rows" in capsys.readouterr().err
 
 
 def test_exit_code_nonconvergence(rademacher_file, tmp_path):

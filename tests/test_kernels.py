@@ -3,7 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 
-from rslimits import _kernels, channel, oracle, priors
+from rslimits import _kernels, channel, oracle, priors, psdlinalg
 from rslimits.quadrature import gauss_hermite, monte_carlo
 
 import kernel_reference as ref
@@ -31,7 +31,7 @@ def test_config_kernels_match_reference():
     m = rademacher_model(2.0, s=0.3)
     inst = oracle.sample_instance(m, 5, seed=8)
     configs = oracle.enumerate_configs(2, 5)
-    T1, u1, E, _ = oracle._instance_terms(inst)
+    T1, u1, E, _ = oracle._instance_terms(inst, psdlinalg.sqrtm_psd(m.s))
     out = {}
     for name, kernels in (("fast", _kernels), ("slow", ref)):
         ss = kernels.config_quadratic_terms(configs, T1, u1, E)
@@ -44,8 +44,8 @@ def test_config_kernels_match_reference():
 
 def test_reference_kernels_full_pipeline(monkeypatch):
     m = rademacher_model(1.6, s=0.2)
-    fast = oracle.finite_mi(m, 4, 50, seed=3).mi_per_row
+    fast = oracle.replica_average(m, 4, 50, seed=3).mi_per_row
     monkeypatch.setattr(_kernels, "config_quadratic_terms", ref.config_quadratic_terms)
     monkeypatch.setattr(_kernels, "config_row_marginals", ref.config_row_marginals)
-    slow = oracle.finite_mi(m, 4, 50, seed=3).mi_per_row
+    slow = oracle.replica_average(m, 4, 50, seed=3).mi_per_row
     npt.assert_allclose(fast, slow, rtol=1e-12)

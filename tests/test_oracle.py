@@ -76,12 +76,9 @@ def test_budget_and_prior_guards():
         oracle.sample_instance(g, 2, seed=0)
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be >= 1"):
-            oracle.finite_mi(m, n, 10, seed=0)
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            oracle.nishimori_residual(m, n, 10, seed=0)
-    for fn in (oracle.finite_mi, oracle.nishimori_residual):
-        with pytest.raises(ValueError, match="data_samples"):
-            fn(m, 2, -5, seed=0)
+            oracle.replica_average(m, n, 10, seed=0)
+    with pytest.raises(ValueError, match="data_samples"):
+        oracle.replica_average(m, 2, -5, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,37 +136,60 @@ def test_side_channel_breaks_symmetry():
 
 def test_finite_mi_matches_scalar_channel():
     m = ModelSpec(1, (), [[1.3]], priors.rademacher())
-    res = oracle.finite_mi(m, 1, 3000, seed=17)
+    res = oracle.replica_average(m, 1, 3000, seed=17)
     truth = channel.mutual_information(priors.rademacher(), [[1.3]], [[0.0]])
-    assert abs(res.mi_per_row - truth) <= 3.0 * res.std_err
+    assert abs(res.mi_per_row - truth) <= 3.0 * res.mi_std_err
 
 
 def test_finite_mi_zero_without_observations():
     m = ModelSpec(1, (), [[0.0]], priors.rademacher())
-    res = oracle.finite_mi(m, 3, 50, seed=1)
+    res = oracle.replica_average(m, 3, 50, seed=1)
     npt.assert_allclose(res.mi_per_row, 0.0, atol=1e-12)
 
 
 def test_finite_mi_nonnegative(wigner_rademacher):
-    res = oracle.finite_mi(wigner_rademacher, 4, 400, seed=3)
-    assert res.mi_per_row > -3.0 * res.std_err
+    res = oracle.replica_average(wigner_rademacher, 4, 400, seed=3)
+    assert res.mi_per_row > -3.0 * res.mi_std_err
 
 
 # ---------------------------------------------------------------------------
 # Nishimori identity
 # ---------------------------------------------------------------------------
 
+def test_replica_average_matches_exact_posterior():
+    # per replica, (log p(data | signal) - log p(data)) / n with the
+    # likelihood coded here and the evidence from exact_posterior
+    m = rademacher_model(2.0, s=0.3)
+    n, reps, seed = 3, 5, 4
+    res = oracle.replica_average(m, n, reps, seed)
+    mi, q, r = [], [], []
+    for rep in range(reps):
+        inst = oracle.sample_instance(m, n, (seed, rep))
+        x = inst.signal
+        ss = np.sum((inst.y_tilde - x * math.sqrt(m.s[0, 0])) ** 2)
+        for b, y in zip(m.couplings, inst.ys):
+            ss += np.sum((y - x @ b @ x.T / math.sqrt(n)) ** 2)
+        summ = oracle.exact_posterior(inst)
+        mi.append((-0.5 * ss - summ.log_evidence) / n)
+        q.append(summ.overlap_mean)
+        r.append(summ.replica_overlap_mean)
+    assert res.samples == reps
+    npt.assert_allclose(res.mi_per_row, np.mean(mi), rtol=0, atol=1e-12)
+    npt.assert_allclose(res.overlap_mean, np.mean(q, axis=0), rtol=0, atol=1e-12)
+    npt.assert_allclose(res.replica_overlap_mean, np.mean(r, axis=0), rtol=0, atol=1e-12)
+
+
 def test_nishimori_within_mc_error():
     m = rademacher_model(2.0, s=0.2)
-    res = oracle.nishimori_residual(m, 4, 2000, seed=5)
-    assert res.residual <= 4.0 * res.std_err
+    res = oracle.replica_average(m, 4, 2000, seed=5)
+    assert res.nishimori_residual <= 4.0 * res.nishimori_std_err
 
 
 def test_nishimori_exact_for_symmetric_model():
     # S=0, symmetric prior and coupling: both overlaps are exactly zero
     m = rademacher_model(2.0)
-    res = oracle.nishimori_residual(m, 3, 50, seed=2)
-    npt.assert_allclose(res.residual, 0.0, atol=1e-14)
+    res = oracle.replica_average(m, 3, 50, seed=2)
+    npt.assert_allclose(res.nishimori_residual, 0.0, atol=1e-14)
 
 
 def test_nishimori_exact_under_data_quadrature():
@@ -191,7 +211,7 @@ def test_nishimori_exact_under_data_quadrature():
         summ = oracle.exact_posterior(inst)
         # joint E[X^T <X~>] with the X-average done by the posterior
         configs = oracle.enumerate_configs(m.prior.atom_count, n)
-        T1, u1, E, _ = oracle._instance_terms(inst)
+        T1, u1, E, _ = oracle._instance_terms(inst, psdlinalg.sqrtm_psd(m.s))
         lw = oracle._log_weights(inst, configs, T1, u1, E)
         p = np.exp(lw - logsumexp(lw))
         mean_rows = summ.per_row_mean
