@@ -6,9 +6,13 @@ Kernels
   covariance for a discrete prior observed through a Gaussian channel,
   summed over (atom, quadrature node) pairs.
 * ``config_quadratic_terms``: data-dependent part of the log posterior
-  weight for every enumerated signal configuration of a finite instance.
+  weight of every enumerated signal configuration, for a chunk of data
+  replicas at once: one GEMM of the configurations' signal matrix against
+  the replicas' stacked quadratic coefficients.
 * ``config_row_marginals``: posterior single-row marginals accumulated over
-  enumerated configurations.
+  enumerated configurations.  The oracle no longer calls it (it takes its
+  posterior row means as P^T p); it stays because perfbench's traced run
+  wraps it by name.
 
 Brute-force loop versions of all three live in tests/kernel_reference.py and
 pin these vectorized forms.
@@ -68,20 +72,22 @@ def _logsumexp(a, axis):
 # exact posterior enumeration for finite instances
 # ---------------------------------------------------------------------------
 
-def config_quadratic_terms(C, T1, u1, E):
-    """Data-dependent quadratic statistic per enumerated configuration.
+def config_quadratic_terms(C, P, L, Q):
+    """Data-dependent log weight of every configuration, for B replicas at once.
 
-    C (M, n) atom indices; T1 (n, K) side-channel cross terms; u1 (K)
-    side-channel self terms; E (n, n, K, K) combined pairwise terms.
-    Returns (M,) with sum_i (-2 T1[i, c_i] + u1[c_i]) + sum_ij E[i, j, c_i, c_j].
+    C (M, n) atom indices of the configurations; P (M, n d) their signal
+    rows atoms[C], flattened row-major; L (n d, B) linear and Q (B, n d, n d)
+    quadratic coefficients, one column / matrix per replica.
+    Returns (M, B) with out[m, b] = P[m] . L[:, b] + P[m] . Q[b] . P[m].
+    The quadratic forms are one (M, n d) x (n d, B n d) GEMM; its (M, B n d)
+    result is the largest array, so B is the caller's memory bound.  Only
+    P is read: C names the configurations and gives the call's (M, n).
     """
-    M, n = C.shape
-    idx = np.arange(n)
-    out = (-2.0 * T1[idx[None, :], C] + u1[C]).sum(axis=1)
-    for i in range(n):
-        Ci = C[:, i]
-        for j in range(n):
-            out += E[i, j][Ci, C[:, j]]
+    M, nd = P.shape
+    B = Q.shape[0]
+    PQ = (P @ Q.transpose(1, 0, 2).reshape(nd, B * nd)).reshape(M, B, nd)
+    out = P @ L
+    out += np.einsum("mbj,mj->mb", PQ, P)
     return out
 
 

@@ -202,10 +202,11 @@ def parse_rotinv_model(text):
 # ---------------------------------------------------------------------------
 
 def _quad_for(args, dim):
-    if args.quad_nodes:
+    if args.quad_nodes is not None:
         return gauss_hermite(args.quad_nodes)
     if dim >= 4:
-        return monte_carlo(args.mc_samples or 1_000_000, seed=args.seed)
+        samples = 1_000_000 if args.mc_samples is None else args.mc_samples
+        return monte_carlo(samples, seed=args.seed)
     return default_scheme(dim, seed=args.seed)
 
 
@@ -321,7 +322,7 @@ def _cmd_sweep(args):
 
 def _cmd_oracle(args):
     model = _load_model(args)
-    samples = args.mc_samples or 2000
+    samples = 2000 if args.mc_samples is None else args.mc_samples
     res = oracle.replica_average(model, args.n, samples, args.seed)
     doc = {
         "n": args.n,
@@ -338,7 +339,7 @@ def _cmd_oracle(args):
 
 def _cmd_rotinv_solve(args):
     model = _load_model(args, parse_rotinv_model)
-    quad = gauss_hermite(args.quad_nodes or 63)
+    quad = gauss_hermite(63 if args.quad_nodes is None else args.quad_nodes)
     sol = rotinv.solve_rotinv(model, _settings(args), quad)
     doc = {
         "value": sol.value,
@@ -391,9 +392,9 @@ def build_parser():
         p.add_argument("--damping", type=float, default=0.5)
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--max-iters", type=int, default=10_000)
-        p.add_argument("--quad-nodes", type=int, default=0,
-                       help="Gauss-Hermite nodes per dimension (0 = policy default)")
-        p.add_argument("--mc-samples", type=int, default=0,
+        p.add_argument("--quad-nodes", type=int,
+                       help="Gauss-Hermite nodes per dimension (default: by policy)")
+        p.add_argument("--mc-samples", type=int,
                        help="Monte Carlo samples (quadrature d>=4, oracle replicas)")
         if name == "potential":
             p.add_argument("--r", required=True, help="inline JSON d x d matrix")
@@ -427,6 +428,10 @@ def run(argv=None):
     if needs_model and not args.model:
         print("error: --model is required", file=sys.stderr)
         return EXIT_INPUT
+    for flag, count in (("--quad-nodes", args.quad_nodes), ("--mc-samples", args.mc_samples)):
+        if count is not None and count < 1:
+            print(f"error: {flag} must be >= 1, got {count}", file=sys.stderr)
+            return EXIT_INPUT
     try:
         result, code = _COMMANDS[args.command](args)
     except (ConfigError, OSError, ValueError) as exc:

@@ -7,14 +7,26 @@ yields exact per-row means/covariances, the log evidence, overlap statistics
 and finite-n mutual information estimates.  These validate the asymptotic
 predictions of the variational solver at desk scale.
 
-One routine, ``_score``, enumerates and normalizes an instance.
-``exact_posterior`` calls it once; ``replica_average`` calls it once per
-seeded data replica and feeds both of its estimates (finite-n mutual
-information and the Nishimori residual) from that one pass.
+One routine, ``_score``, enumerates and normalizes a chunk of instances.
+``exact_posterior`` passes it a chunk of one; ``replica_average`` passes it
+its seeded data replicas chunk by chunk and feeds both of its estimates
+(finite-n mutual information and the Nishimori residual) from that one pass.
 
-The enumeration cost is the reason for the budget: atom_count**n
-configurations, each scored in O(n^2) through a hot kernel.  Rows are the
-i.i.d. unit, so enumeration runs over rows, not entries.
+Cost model
+----------
+With A = S^{1/2}, the log weight of a configuration with signal X (n, d) is
+
+    log prior(X) + <y~ A, X> + sum_l <Y_l, X B_l X^T> / sqrt(n) + base(X),
+
+linear plus quadratic in X given the data; base(X) depends on X only, through
+its Gram matrix X^T X.  Once per request the M = atom_count**n configurations
+are enumerated with their signal matrix P (M, n d) and their data-free log
+weights.  A chunk of B replicas then costs one (M, n d) x (n d, B n d) GEMM
+for the quadratic forms, a log-sum-exp over the M axis, and P^T p for the
+posterior row means.  ``CHUNK_DOUBLES`` bounds the GEMM's (M, B n d) result,
+the chunk's largest array.  The budget on M is what keeps enumeration
+affordable.  Rows are the i.i.d. unit, so enumeration runs over rows, not
+entries.
 """
 
 import math
@@ -30,6 +42,8 @@ DEFAULT_BUDGET = 200_000
 # np.indices builds an (n + 1)-dimensional array and numpy allows 64 axes, so
 # at most 63 rows can be enumerated whatever the atom count.
 MAX_ROWS = 63
+# doubles in the largest array of a chunk of replicas (2 MB)
+CHUNK_DOUBLES = 250_000
 
 
 @dataclass(frozen=True)
@@ -55,7 +69,7 @@ class PosteriorSummary:
 
 
 def _check_enumerable(model, n, budget, data_samples=1):
-    """The one check of an oracle request; returns the atom count K."""
+    """The one check of an oracle request."""
     if model.prior.kind != DISCRETE:
         raise ValueError("exact enumeration requires a discrete prior")
     if n < 1:
@@ -67,7 +81,6 @@ def _check_enumerable(model, n, budget, data_samples=1):
     K = model.prior.atom_count
     if K ** n > budget:
         raise ValueError(f"enumeration budget exceeded: {K}^{n} configurations > {budget}")
-    return K
 
 
 def _rng(seed, stream):
@@ -89,12 +102,16 @@ def sample_instance(model, n, seed, budget=DEFAULT_BUDGET):
     change when the prior gains atoms.
     """
     _check_enumerable(model, n, budget)
+    return _draw(model, n, seed, psdlinalg.sqrtm_psd(model.s))
+
+
+def _draw(model, n, seed, a_root):
+    """``sample_instance`` for a checked request whose S^{1/2} is ``a_root``."""
     prior = model.prior
     signal_rng = _rng(seed, 0)
     noise_rng = _rng(seed, 1)
     idx = signal_rng.choice(prior.atom_count, size=n, p=prior.weights)
     signal = prior.atoms[idx]
-    a_root = psdlinalg.sqrtm_psd(model.s)
     y_tilde = signal @ a_root + noise_rng.standard_normal((n, model.d))
     ys = tuple(
         (signal @ b @ signal.T) / math.sqrt(n) + noise_rng.standard_normal((n, n))
@@ -109,76 +126,98 @@ def enumerate_configs(atom_count, n):
     return grids.reshape(n, -1).T.astype(np.int64).copy()
 
 
-def _instance_terms(inst, a_root):
-    """Per-configuration statistics of the log posterior weight.
+@dataclass(frozen=True)
+class _Enumeration:
+    """The configurations of one request, and what the data do not change."""
 
-    ``a_root`` is S^{1/2}, computed once by the caller.  Returns
-    (T1, u1, E, const) with the data-dependent quadratic pieces: the residual
-    of configuration x decomposes as
-        ||data - mean(x)||^2 = const + sum_i (-2 T1[i, c_i] + u1[c_i])
-                               + sum_ij E[i, j, c_i, c_j].
+    configs: np.ndarray   # (M, n) atom indices
+    signals: np.ndarray   # (M, n d) P: each configuration's signal rows, flattened
+    grams: np.ndarray     # (M, d, d) X^T X of each configuration
+    base: np.ndarray      # (M,) data-free part of each log weight, prior included
+
+
+def _enumerate(model, n, a_root):
+    prior = model.prior
+    configs = enumerate_configs(prior.atom_count, n)
+    x = prior.atoms[configs]                                 # (M, n, d)
+    grams = np.einsum("mia,mib->mab", x, x)
+    base = np.log(prior.weights)[configs].sum(axis=1) + _data_free(model, n, grams, a_root)
+    return _Enumeration(configs, x.reshape(len(configs), -1), grams, base)
+
+
+def _data_free(model, n, grams, a_root):
+    """Data-free part of the log weight (prior aside), from Gram matrices X^T X.
+
+    -1/2 (||X A||^2 + sum_l ||X B_l X^T||^2 / n), written through X^T X.
     """
-    model, n = inst.model, inst.n
-    atoms = model.prior.atoms
-    sa = atoms @ a_root                                  # (K, d)
-    T1 = inst.y_tilde @ sa.T                             # (n, K)
-    u1 = np.einsum("kd,kd->k", sa, sa)                   # (K,)
-    K = atoms.shape[0]
-    E = np.zeros((n, n, K, K))
-    const = float(np.sum(inst.y_tilde ** 2))
-    inv_sqrt_n = 1.0 / math.sqrt(n)
-    for b, y in zip(model.couplings, inst.ys):
-        G = atoms @ b @ atoms.T                          # (K, K) pair means
-        E += np.einsum("ij,ab->ijab", -2.0 * inv_sqrt_n * y, G)
-        E += (G * G)[None, None] / n
-        const += float(np.sum(y ** 2))
-    return T1, u1, E, const
+    ss = np.einsum("...ab,ab->...", grams, a_root @ a_root.T)
+    for b in model.couplings:
+        ss += np.einsum("...ab,...ab->...", grams, b @ grams @ b.T) / n
+    return -0.5 * ss
 
 
-def _signal_quadratic(inst, T1, u1, E):
-    idx = inst.signal_idx
-    rows = np.arange(inst.n)
-    ss = float(np.sum(-2.0 * T1[rows, idx] + u1[idx]))
-    ss += float(E[rows[:, None], rows[None, :], idx[:, None], idx[None, :]].sum())
-    return ss
+def _data_terms(insts, a_root):
+    """Coefficients of the data-dependent log weight, one column per instance.
 
-
-def _log_weights(inst, configs, T1, u1, E):
-    logw = np.log(inst.model.prior.weights)
-    ss_red = _kernels.config_quadratic_terms(configs, T1, u1, E)
-    return logw[configs].sum(axis=1) - 0.5 * ss_red
-
-
-def _score(inst, configs, a_root):
-    """Enumerate one instance: the single scoring routine of the oracle.
-
-    Returns (log_z, ll_signal, const, marg): the log normalizer of the
-    configuration weights, the log weight of the true signal without its
-    prior factor, the data constant both leave out, and the (n, K) row
-    marginals of the posterior.
+    Returns L (n d, B) = vec(y~ A^T) and Q (B, n d, n d) =
+    sum_l kron(Y_l, B_l) / sqrt(n), so that a configuration's term is
+    vec(X) . L + vec(X) . Q vec(X) (row-major vec).
     """
-    T1, u1, E, const = _instance_terms(inst, a_root)
-    lw = _log_weights(inst, configs, T1, u1, E)
-    log_z = float(logsumexp(lw))
-    marg = _kernels.config_row_marginals(configs, np.exp(lw - log_z),
-                                         inst.model.prior.atom_count)
-    return log_z, -0.5 * _signal_quadratic(inst, T1, u1, E), const, marg
+    model, n = insts[0].model, insts[0].n
+    d = model.d
+    y_tilde = np.stack([inst.y_tilde for inst in insts])      # (B, n, d)
+    lin = (y_tilde @ a_root.T).reshape(len(insts), n * d).T
+    quad = np.zeros((len(insts), n, d, n, d))
+    for l, b in enumerate(model.couplings):
+        ys = np.stack([inst.ys[l] for inst in insts])         # (B, n, n)
+        quad += np.einsum("bij,ac->biajc", ys, b)
+    return lin, quad.reshape(len(insts), n * d, n * d) / math.sqrt(n)
+
+
+def _chunk_size(m, nd):
+    """Replicas per chunk: the (m, B nd) GEMM result and Q stay within CHUNK_DOUBLES."""
+    return max(1, CHUNK_DOUBLES // (nd * max(m, nd)))
+
+
+def _score(insts, enum, a_root):
+    """Enumerate a chunk of B instances: the single scoring routine of the oracle.
+
+    Returns (log_z, ll_signal, means, p): per instance the log normalizer of
+    the configuration weights (B,), the log weight of the true signal without
+    its prior factor (B,), the posterior row means (B, n, d), and the (M, B)
+    posterior probabilities of the configurations.
+    """
+    model, n = insts[0].model, insts[0].n
+    lin, quad = _data_terms(insts, a_root)
+    lw = _kernels.config_quadratic_terms(enum.configs, enum.signals, lin, quad)
+    lw += enum.base[:, None]
+    log_z = logsumexp(lw, axis=0)
+    lw -= log_z
+    p = np.exp(lw, out=lw)
+    means = (enum.signals.T @ p).T.reshape(len(insts), n, model.d)
+    signals = np.stack([inst.signal for inst in insts])        # (B, n, d)
+    flat = signals.reshape(len(insts), -1)
+    ll_signal = (_data_free(model, n, signals.transpose(0, 2, 1) @ signals, a_root)
+                 + np.einsum("bj,jb->b", flat, lin)
+                 + np.einsum("bj,bjk,bk->b", flat, quad, flat))
+    return log_z, ll_signal, means, p
 
 
 def exact_posterior(inst, budget=DEFAULT_BUDGET):
     """Enumerate the posterior exactly; log-domain weights throughout."""
     model, n = inst.model, inst.n
-    K = _check_enumerable(model, n, budget)
-    log_z, _, const, marg = _score(inst, enumerate_configs(K, n),
-                                   psdlinalg.sqrtm_psd(model.s))
-    atoms = model.prior.atoms
-    per_row_mean = marg @ atoms
-    second = np.einsum("ik,ka,kb->ab", marg, atoms, atoms) / n
+    _check_enumerable(model, n, budget)
+    a_root = psdlinalg.sqrtm_psd(model.s)
+    enum = _enumerate(model, n, a_root)
+    log_z, _, means, p = _score([inst], enum, a_root)
+    per_row_mean = means[0]
+    second = np.einsum("m,mab->ab", p[:, 0], enum.grams) / n
     outer = per_row_mean.T @ per_row_mean / n
+    const = float(np.sum(inst.y_tilde ** 2)) + sum(float(np.sum(y ** 2)) for y in inst.ys)
     return PosteriorSummary(
         per_row_mean=per_row_mean,
         per_row_cov_avg=psdlinalg.project_psd(second - outer),
-        log_evidence=log_z - 0.5 * const,
+        log_evidence=float(log_z[0]) - 0.5 * const,
         overlap_mean=inst.signal.T @ per_row_mean / n,
         replica_overlap_mean=outer,
     )
@@ -196,10 +235,12 @@ class ReplicaAverage:
 
 
 def replica_average(model, n, data_samples, seed, budget=DEFAULT_BUDGET):
-    """Monte Carlo averages over seeded data replicas, one enumeration each.
+    """Monte Carlo averages over seeded data replicas, scored in chunks.
 
-    Replica ``rep`` is ``sample_instance(model, n, seed + (rep,))``.  Two
-    estimates share each enumeration:
+    Replica ``rep`` is ``sample_instance(model, n, seed + (rep,))``; the
+    request is checked, S^{1/2} taken and the configurations enumerated once,
+    then replicas are drawn and scored ``_chunk_size`` at a time.  Two
+    estimates share each replica's scoring:
 
     * the finite-n mutual information (1/n) I(X; data), per replica the exact
       (log p(data | signal) - log p(data)) / n; both terms share the data
@@ -212,25 +253,24 @@ def replica_average(model, n, data_samples, seed, budget=DEFAULT_BUDGET):
 
     Standard errors are NaN for a single replica.
     """
-    K = _check_enumerable(model, n, budget, data_samples)
-    configs = enumerate_configs(K, n)
+    _check_enumerable(model, n, budget, data_samples)
     a_root = psdlinalg.sqrtm_psd(model.s)
-    atoms = model.prior.atoms
-    d = model.d
+    enum = _enumerate(model, n, a_root)
+    chunk = _chunk_size(len(enum.configs), n * model.d)
+    entropy = _as_entropy(seed)
     mi = np.empty(data_samples)
-    diffs = np.empty((data_samples, d, d))
-    q_sum = np.zeros((d, d))
-    r_sum = np.zeros((d, d))
-    for rep in range(data_samples):
-        inst = sample_instance(model, n, _as_entropy(seed) + (rep,), budget)
-        log_z, ll_signal, _, marg = _score(inst, configs, a_root)
-        mi[rep] = (ll_signal - log_z) / n
-        mean = marg @ atoms
-        q_rep = inst.signal.T @ mean / n
-        r_rep = mean.T @ mean / n
-        diffs[rep] = q_rep - r_rep
-        q_sum += q_rep
-        r_sum += r_rep
+    q = np.empty((data_samples, model.d, model.d))
+    r = np.empty_like(q)
+    for lo in range(0, data_samples, chunk):
+        insts = [_draw(model, n, entropy + (rep,), a_root)
+                 for rep in range(lo, min(lo + chunk, data_samples))]
+        reps = slice(lo, lo + len(insts))
+        log_z, ll_signal, means, _ = _score(insts, enum, a_root)
+        signals = np.stack([inst.signal for inst in insts])
+        mi[reps] = (ll_signal - log_z) / n
+        q[reps] = signals.transpose(0, 2, 1) @ means / n
+        r[reps] = means.transpose(0, 2, 1) @ means / n
+    diffs = q - r
     if data_samples > 1:
         mi_se = float(mi.std(ddof=1)) / math.sqrt(data_samples)
         entry_se = diffs.std(axis=0, ddof=1) / math.sqrt(data_samples)
@@ -242,7 +282,7 @@ def replica_average(model, n, data_samples, seed, budget=DEFAULT_BUDGET):
         mi_std_err=mi_se,
         nishimori_residual=float(np.linalg.norm(diffs.mean(axis=0), "fro")),
         nishimori_std_err=nishimori_se,
-        overlap_mean=q_sum / data_samples,
-        replica_overlap_mean=r_sum / data_samples,
+        overlap_mean=q.mean(axis=0),
+        replica_overlap_mean=r.mean(axis=0),
         samples=data_samples,
     )

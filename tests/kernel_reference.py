@@ -52,17 +52,18 @@ def channel_discrete_moments(logw, c, D, atoms, nodes, node_w):
     return mi, second, outer
 
 
-def config_quadratic_terms(C, T1, u1, E):
-    M, n = C.shape
-    out = np.empty(M)
+def config_quadratic_terms(C, P, L, Q):
+    M, nd = P.shape
+    B = L.shape[1]
+    out = np.empty((M, B))
     for m in range(M):
-        acc = 0.0
-        for i in range(n):
-            a = C[m, i]
-            acc += -2.0 * T1[i, a] + u1[a]
-            for j in range(n):
-                acc += E[i, j, a, C[m, j]]
-        out[m] = acc
+        for b in range(B):
+            acc = 0.0
+            for j in range(nd):
+                acc += P[m, j] * L[j, b]
+                for k in range(nd):
+                    acc += P[m, j] * Q[b, j, k] * P[m, k]
+            out[m, b] = acc
     return out
 
 

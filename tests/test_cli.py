@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rslimits import _kernels, cli, priors
+from rslimits import _kernels, cli, oracle, priors
 from rslimits.potential import ModelSpec
 
 WIGNER_DOC = """
@@ -189,17 +189,20 @@ def test_oracle_subcommand(rademacher_file, tmp_path):
 
 
 def test_oracle_enumerates_each_replica_once(rademacher_file, tmp_path, monkeypatch):
-    calls = []
+    # one kernel call per chunk of replicas, each replica in exactly one
+    # chunk: with chunks of 3 (n = 3, 8 configurations) 7 replicas make 3 calls
+    columns = []
     kernel = _kernels.config_quadratic_terms
 
     def counting(*args):
-        calls.append(1)
+        columns.append(args[2].shape[1])
         return kernel(*args)
 
     monkeypatch.setattr(_kernels, "config_quadratic_terms", counting)
+    monkeypatch.setattr(oracle, "CHUNK_DOUBLES", 3 * 8 * 3)
     assert cli.run(["oracle", "--model", rademacher_file, "--n", "3", "--mc-samples", "7",
                     "--out", str(tmp_path / "once.json")]) == 0
-    assert len(calls) == 7
+    assert columns == [3, 3, 1]
 
 
 def test_rotinv_subcommands(tmp_path):
@@ -231,6 +234,14 @@ def test_exit_code_input_error(rademacher_file, tmp_path, capsys):
         assert cli.run(["solve", "--model", rademacher_file, flag, value]) == cli.EXIT_INPUT
     for flags in (["--n", "0"], ["--n", "-1"], ["--n", "2", "--mc-samples", "-5"]):
         assert cli.run(["oracle", "--model", rademacher_file, *flags]) == cli.EXIT_INPUT
+    # an explicit zero count is an error, not the default
+    for command, flags in (("oracle", ["--n", "3", "--mc-samples", "0"]),
+                           ("solve", ["--quad-nodes", "0"]),
+                           ("solve", ["--mc-samples", "0"]),
+                           ("rotinv-solve", ["--quad-nodes", "0"])):
+        capsys.readouterr()
+        assert cli.run([command, "--model", rademacher_file, *flags]) == cli.EXIT_INPUT
+        assert f"{flags[-2]} must be >= 1, got 0" in capsys.readouterr().err
     # more rows than can be enumerated, whatever the atom count
     for atoms, n in (([[1.0], [0.0], [-1.0]], 20000), ([[1.0]], 64)):
         weights = [1.0 / len(atoms)] * len(atoms)

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 
 from rslimits import _kernels, channel, oracle, priors, psdlinalg
+from rslimits.potential import ModelSpec
 from rslimits.quadrature import gauss_hermite, monte_carlo
 
 import kernel_reference as ref
@@ -28,18 +29,26 @@ def test_channel_moments_match_reference(rng, monkeypatch):
 
 
 def test_config_kernels_match_reference():
-    m = rademacher_model(2.0, s=0.3)
-    inst = oracle.sample_instance(m, 5, seed=8)
-    configs = oracle.enumerate_configs(2, 5)
-    T1, u1, E, _ = oracle._instance_terms(inst, psdlinalg.sqrtm_psd(m.s))
-    out = {}
-    for name, kernels in (("fast", _kernels), ("slow", ref)):
-        ss = kernels.config_quadratic_terms(configs, T1, u1, E)
-        p = np.exp(ss - ss.max())
+    # every replica column of the batched kernel against the loop reference;
+    # the d=2 model with two couplings exercises the kron(Y_l, B_l) layout
+    d2 = ModelSpec(2, (0.5 * np.eye(2), [[0.3, 0.1], [0.1, -0.2]]), [[0.3, 0.1], [0.1, 0.2]],
+                   priors.discrete([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-0.5, -1.0]],
+                                   [0.1, 0.2, 0.3, 0.4]))
+    for m, n in ((rademacher_model(2.0, s=0.3), 5), (d2, 3)):
+        a_root = psdlinalg.sqrtm_psd(m.s)
+        enum = oracle._enumerate(m, n, a_root)
+        insts = [oracle.sample_instance(m, n, seed=(8, rep)) for rep in range(3)]
+        L, Q = oracle._data_terms(insts, a_root)
+        fast = _kernels.config_quadratic_terms(enum.configs, enum.signals, L, Q)
+        assert fast.shape == (len(enum.configs), len(insts))
+        for b in range(len(insts)):
+            slow = ref.config_quadratic_terms(enum.configs, enum.signals, L[:, b:b + 1], Q[b:b + 1])
+            npt.assert_allclose(fast[:, b], slow[:, 0], rtol=0, atol=1e-12)
+        K = m.prior.atom_count
+        p = np.exp(fast[:, 0] - fast[:, 0].max())
         p /= p.sum()
-        out[name] = (ss, kernels.config_row_marginals(configs, p, 2))
-    npt.assert_allclose(out["fast"][0], out["slow"][0], rtol=1e-13, atol=1e-13)
-    npt.assert_allclose(out["fast"][1], out["slow"][1], rtol=1e-13, atol=1e-15)
+        npt.assert_allclose(_kernels.config_row_marginals(enum.configs, p, K),
+                            ref.config_row_marginals(enum.configs, p, K), rtol=1e-13, atol=1e-15)
 
 
 def test_reference_kernels_full_pipeline(monkeypatch):

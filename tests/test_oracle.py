@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -114,6 +115,34 @@ def test_posterior_matches_hand_enumeration(s_val):
     npt.assert_allclose(summ.log_evidence, log_ev, atol=1e-10)
 
 
+def test_score_matches_direct_residual_d2():
+    # a chunk of d=2 replicas with two couplings and a non-diagonal S: each
+    # column of _score against log weights coded here from the residual
+    m = ModelSpec(2, (0.5 * np.eye(2), [[0.3, 0.1], [0.1, -0.2]]), [[0.3, 0.1], [0.1, 0.2]],
+                  priors.discrete([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-0.5, -1.0]],
+                                  [0.1, 0.2, 0.3, 0.4]))
+    n = 3
+    a_root = psdlinalg.sqrtm_psd(m.s)
+    enum = oracle._enumerate(m, n, a_root)
+    insts = [oracle.sample_instance(m, n, (6, rep)) for rep in range(3)]
+    log_z, ll_signal, means, p = oracle._score(insts, enum, a_root)
+    for b, inst in enumerate(insts):
+        def log_weight(cfg):
+            x = m.prior.atoms[list(cfg)]
+            ss = np.sum((inst.y_tilde - x @ a_root) ** 2)
+            for c, y in zip(m.couplings, inst.ys):
+                ss += np.sum((y - x @ c @ x.T / math.sqrt(n)) ** 2)
+            const = np.sum(inst.y_tilde ** 2) + sum(np.sum(y ** 2) for y in inst.ys)
+            return np.sum(np.log(m.prior.weights[list(cfg)])) - 0.5 * (ss - const)
+        lw = np.array([log_weight(cfg) for cfg in enum.configs])
+        npt.assert_allclose(log_z[b], logsumexp(lw), rtol=0, atol=1e-12)
+        npt.assert_allclose(p[:, b], np.exp(lw - logsumexp(lw)), rtol=0, atol=1e-14)
+        npt.assert_allclose(means[b], np.einsum("m,mia->ia", p[:, b], m.prior.atoms[enum.configs]),
+                            rtol=0, atol=1e-14)
+        prior_lw = np.sum(np.log(m.prior.weights[inst.signal_idx]))
+        npt.assert_allclose(ll_signal[b], log_weight(inst.signal_idx) - prior_lw, rtol=0, atol=1e-12)
+
+
 def test_posterior_cov_psd_and_bounded(wigner_rademacher):
     inst = oracle.sample_instance(wigner_rademacher, 4, seed=2)
     summ = oracle.exact_posterior(inst)
@@ -158,9 +187,12 @@ def test_finite_mi_nonnegative(wigner_rademacher):
 
 def test_replica_average_matches_exact_posterior():
     # per replica, (log p(data | signal) - log p(data)) / n with the
-    # likelihood coded here and the evidence from exact_posterior
+    # likelihood coded here and the evidence from exact_posterior; the
+    # replicas span more than one chunk and end on a partial one
     m = rademacher_model(2.0, s=0.3)
-    n, reps, seed = 3, 5, 4
+    n, reps, seed = 12, 7, 4
+    chunk = oracle._chunk_size(2 ** n, n)
+    assert chunk < reps and reps % chunk
     res = oracle.replica_average(m, n, reps, seed)
     mi, q, r = [], [], []
     for rep in range(reps):
@@ -177,6 +209,19 @@ def test_replica_average_matches_exact_posterior():
     npt.assert_allclose(res.mi_per_row, np.mean(mi), rtol=0, atol=1e-12)
     npt.assert_allclose(res.overlap_mean, np.mean(q, axis=0), rtol=0, atol=1e-12)
     npt.assert_allclose(res.replica_overlap_mean, np.mean(r, axis=0), rtol=0, atol=1e-12)
+
+
+def test_replica_average_memory_bounded():
+    # replicas are scored in chunks of about CHUNK_DOUBLES doubles (2 MB), so
+    # the peak does not grow with the replica count (unchunked: about 22 MB)
+    m = rademacher_model(2.0, s=0.2)
+    tracemalloc.start()
+    try:
+        oracle.replica_average(m, 12, 300, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
 
 
 def test_nishimori_within_mc_error():
@@ -201,6 +246,8 @@ def test_nishimori_exact_under_data_quadrature():
     lhs = np.zeros((1, 1))
     rhs = np.zeros((1, 1))
     atoms = m.prior.atoms
+    a_root = psdlinalg.sqrtm_psd(m.s)
+    enum = oracle._enumerate(m, n, a_root)
     for _ in range(64):   # arbitrary common data nodes
         y_tilde = rng.normal(scale=2.0, size=(n, 1))
         y = rng.normal(scale=2.0, size=(n, n))
@@ -210,12 +257,9 @@ def test_nishimori_exact_under_data_quadrature():
                                      y_tilde=y_tilde, ys=(y,))
         summ = oracle.exact_posterior(inst)
         # joint E[X^T <X~>] with the X-average done by the posterior
-        configs = oracle.enumerate_configs(m.prior.atom_count, n)
-        T1, u1, E, _ = oracle._instance_terms(inst, psdlinalg.sqrtm_psd(m.s))
-        lw = oracle._log_weights(inst, configs, T1, u1, E)
-        p = np.exp(lw - logsumexp(lw))
+        p = oracle._score([inst], enum, a_root)[3][:, 0]
         mean_rows = summ.per_row_mean
-        for cfg, pc in zip(configs, p):
+        for cfg, pc in zip(enum.configs, p):
             x = atoms[cfg]
             lhs += pc * (x.T @ mean_rows) / n
         rhs += mean_rows.T @ mean_rows / n
