@@ -229,6 +229,7 @@ def _fixed_point_doc(res):
         "iterations": res.iterations,
         "branch": res.init_label,
         "converged": bool(res.converged),
+        "stability_radius": res.stability_radius,
     }
 
 

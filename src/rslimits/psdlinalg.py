@@ -19,6 +19,8 @@ functions that take a raw matrix), by :func:`check_symmetric`,
 input and checks nothing, so hot loops on checked matrices pay no validation.
 """
 
+import functools
+
 import numpy as np
 
 DEFAULT_PSD_TOL = 1e-9
@@ -53,16 +55,25 @@ def check_symmetric(m, tol=1e-9, name="matrix"):
     return sym(a)
 
 
+@functools.lru_cache(maxsize=None)
+def _triu_indices(d):
+    # built once per dimension: vech and unvech are the coordinates of every
+    # state-evolution iteration, and np.triu_indices costs more than the copy
+    rows, cols = np.triu_indices(d)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def vech(m):
     """Half-vectorization: stack entries on or below the diagonal, column-major.
 
     ``[[a, b], [b, c]] -> (a, b, c)``.
     """
     a = as_matrix(m)
-    d = a.shape[0]
-    rows, cols = np.triu_indices(d)
+    rows, cols = _triu_indices(a.shape[0])
     # (cols, rows) walks the lower triangle column by column
-    return a[cols, rows].copy()
+    return a[cols, rows]
 
 
 def unvech(v):
@@ -72,7 +83,7 @@ def unvech(v):
     if d * (d + 1) // 2 != v.size:
         raise ValueError(f"vector of length {v.size} is not a vech of any square matrix")
     out = np.zeros((d, d))
-    rows, cols = np.triu_indices(d)
+    rows, cols = _triu_indices(d)
     out[cols, rows] = v
     out[rows, cols] = v
     return out

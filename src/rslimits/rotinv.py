@@ -33,7 +33,7 @@ import numpy as np
 
 from .channel import _mi_core, _mmse_core
 from .quadrature import gauss_hermite
-from .solver import SolveSettings
+from .solver import SolveSettings, fixed_point
 
 GAMMA_GRID_POINTS = 200   # coarse bracketing captures up to ~3 fixed points
 MAX_GAUSSIAN_FACTORS = 5  # conditioning of longer products is not validated
@@ -149,17 +149,17 @@ def _se_residual(model, e, r, quad):
     return max(abs(e_new - e), abs(r_new - r))
 
 
-def _damped_iteration(model, e0, settings, quad, origin):
-    e = float(np.clip(e0, 0.0, model.rho()))
-    beta = settings.damping
-    for _ in range(settings.max_iters):
-        e_next, r = _se_map(model, e, quad)
-        residual = abs(e_next - e)
-        if residual <= settings.tol:
-            return ScalarFixedPoint(e, r, _se_residual(model, e, r, quad), True, origin)
-        e = (1.0 - beta) * e + beta * e_next
+def _se_run(model, e0, settings, quad, origin):
+    """State evolution from ``e0`` on :func:`solver.fixed_point`, E clipped to [0, rho]."""
+    rho = model.rho()
+    e, residual, _, converged, _ = fixed_point(
+        lambda x: np.array([_se_map(model, x[0], quad)[0]]), [e0], settings,
+        lambda x: np.clip(x, 0.0, rho))
+    e = float(e[0])
     _, r = _se_map(model, e, quad)
-    return ScalarFixedPoint(e, r, residual, False, origin)
+    if converged:
+        residual = _se_residual(model, e, r, quad)
+    return ScalarFixedPoint(e, r, residual, converged, origin)
 
 
 def _bracketed_roots(model, settings, quad):
@@ -191,7 +191,7 @@ def _bracketed_roots(model, settings, quad):
 
 
 def state_evolution(model, settings=None, quad=None):
-    """The fixed-point set Gamma: damped multi-start plus grid bracketing.
+    """The fixed-point set Gamma: two accelerated starts plus grid bracketing.
 
     Every returned pair satisfies both state-evolution equations within the
     solver tolerance; non-convergent starts are flagged, not raised.
@@ -199,8 +199,8 @@ def state_evolution(model, settings=None, quad=None):
     settings = settings or SolveSettings(tol=1e-12)
     quad = quad or gauss_hermite(63)
     rho = model.rho()
-    points = [_damped_iteration(model, rho, settings, quad, "informative"),
-              _damped_iteration(model, 1e-3 * rho, settings, quad, "uninformative")]
+    points = [_se_run(model, rho, settings, quad, "informative"),
+              _se_run(model, 1e-3 * rho, settings, quad, "uninformative")]
     points.extend(_bracketed_roots(model, settings, quad))
     unique = []
     for p in sorted(points, key=lambda p: p.e):

@@ -9,12 +9,32 @@ over PSD q, reached at state-evolution fixed points q = rho_bar - M_S(r*(q)).
 With several fixed points the inf picks the smallest potential value; that is
 the selection rule everywhere in this module.
 
+Fixed points are found by :func:`fixed_point`, the one engine shared with
+``rotinv``.  It works on a flat coordinate vector with a projection onto the
+admissible set (here vech(q), off-diagonal entries scaled by sqrt(2) so the
+Euclidean norm is the Frobenius norm, projected onto the PSD cone).  It runs
+Anderson acceleration (type II, window ``ANDERSON_WINDOW``, mixing
+``SolveSettings.damping``; Walker & Ni 2011) and falls back to the damped
+step q <- (1-beta) q + beta T(q) when an accelerated run stalls.
+Acceleration is a root finder: it converges to unstable fixed points as
+readily as to stable ones (from the uninformative start it lands on q = 0,
+which the damped iteration escapes).  So every returned point carries a
+stability certificate, the spectral radius of the damped map's Jacobian by
+forward differences (unstable above 1 + 2 sqrt(tol), the error bound of that
+difference), and an unstable point is left along its unstable direction
+before the run goes on, within the same ``max_iters`` budget.  The
+selection rule therefore compares the stable fixed points the damped
+iteration converges to; where several coexist, which one a start reaches can
+differ from the damped iteration's, and the test suite checks the selected
+value against damped state evolution through a first-order transition.
+
 The inf-sup route solves the inner concave maximization over q directly
 (projected gradient ascent on (r - r*(q))/2, whose iteration cost is pure
 linear algebra) for each candidate r in the image of r* over the fixed-point
 set, and must agree with the single-letter value up to duality tolerance.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -30,6 +50,8 @@ UNINFORMATIVE_SCALE = 1e-3   # strict zero can be a symmetry-pinned fixed point
 DEGENERACY_VALUE_TOL = 1e-6
 DEGENERACY_Q_TOL = 1e-5
 FINITE_DIFF_STEP = 1e-4      # relative step of the S-gradient in predict_mmse
+ANDERSON_WINDOW = 3          # past differences in each least-squares mix
+STALL_STEPS = 5              # accelerated steps without a new best residual before damping
 
 
 @dataclass(frozen=True)
@@ -58,31 +80,138 @@ class FixedPointResult:
     iterations: int
     init_label: str
     converged: bool
+    stability_radius: float
+
+
+def _stability(step, x, g, beta, h):
+    """Spectral radius of the damped map's Jacobian at ``x`` and its eigenvector.
+
+    Forward differences of ``step`` with step ``h`` along each coordinate;
+    ``g = step(x)`` is the base point, so this costs ``x.size`` map calls.
+    """
+    jac = np.empty((x.size, x.size))
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h
+        jac[:, i] = (step(x + e) - g) / h
+    w, v = np.linalg.eig((1.0 - beta) * np.eye(x.size) + beta * jac)
+    k = int(np.argmax(np.abs(w)))
+    return float(abs(w[k])), v[:, k].real
+
+
+def fixed_point(step, x0, settings, project):
+    """Certified fixed point of ``step``: Anderson-accelerated, damped fallback.
+
+    ``step`` maps flat coordinates x to the undamped update T(x); ``project``
+    maps any x to the nearest admissible point and is applied to ``x0``, to
+    each extrapolated iterate and to each nudge (a damped step between
+    admissible points stays admissible).  Returns ``(x, residual, iterations,
+    converged, stability_radius)``.
+
+    * Iteration: Anderson type II over the last ``ANDERSON_WINDOW``
+      differences, mixing ``beta = settings.damping``; the run stops when
+      the residual |T(x) - x| is at most ``settings.tol``.
+    * Fallback: after ``STALL_STEPS`` accelerated steps with no new best
+      residual, plain damped steps x <- x + beta (T(x) - x) until the
+      residual falls below that best, then acceleration restarts with an
+      empty history.
+    * Certificate: at every returned point, the spectral radius of the
+      damped map's Jacobian by forward differences with step h = sqrt(tol)
+      (``x.size`` map calls, the last iteration's T(x) as base point).  The
+      forward difference is off by O(h) and a base point within tol of the
+      fixed point moves the quotient by O(tol / h), so a radius above
+      1 + h + tol / h marks an unstable point.  The run then nudges x along
+      the unstable eigenvector toward ``x0`` (by |x0 - x|, at least h), takes
+      damped steps until the residual starts to fall and resumes
+      acceleration; if acceleration comes back to a known unstable point
+      (within h), the run finishes with damped steps only.
+    * Budget: ``iterations`` counts the map calls of the iteration and never
+      exceeds ``settings.max_iters``; certificate calls are not counted.  At
+      the cap the last evaluated iterate is returned with ``converged=False``
+      (or, if the last call found an unstable point, that point).
+    """
+    beta, tol = settings.damping, settings.tol
+    h = math.sqrt(tol)
+    margin = h + tol / h
+    start = x = project(np.asarray(x0, dtype=np.float64))
+    xs, fs = [], []                     # accelerated history
+    accelerate = may_accelerate = True
+    best, since_best, ceiling, unstable = np.inf, 0, np.inf, []
+    for iterations in range(1, settings.max_iters + 1):
+        g = step(x)
+        last, f = (x, g), g - x
+        residual = float(np.linalg.norm(f))
+        if residual <= tol:
+            radius, v = _stability(step, x, g, beta, h)
+            if (radius <= 1.0 + margin or not may_accelerate
+                    or iterations == settings.max_iters):
+                return x, residual, iterations, True, radius
+            if any(np.linalg.norm(x - u) <= h for u in unstable):
+                may_accelerate = False
+            unstable.append(x)
+            toward = start - x
+            x = project(x + math.copysign(max(np.linalg.norm(toward), h), v @ toward) * v)
+            accelerate, ceiling, prev = False, np.inf, residual
+            continue
+        if not accelerate:
+            if may_accelerate and residual < min(prev, ceiling):
+                accelerate, best, since_best, xs, fs = True, residual, 0, [], []
+        elif residual < best:
+            best, since_best = residual, 0
+        else:
+            since_best += 1
+            if since_best >= STALL_STEPS:
+                accelerate, ceiling = False, best
+        prev = residual
+        if not accelerate:
+            x = x + beta * f
+            continue
+        xs.append(x)
+        fs.append(f)
+        del xs[:-ANDERSON_WINDOW - 1], fs[:-ANDERSON_WINDOW - 1]
+        x_next = x + beta * f
+        if len(xs) > 1:
+            dx, df = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
+            gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+            x_next = x_next - (dx + beta * df) @ gamma
+        x = project(x_next)
+    x, g = last
+    return x, residual, iterations, False, _stability(step, x, g, beta, h)[0]
 
 
 def se_iterate(model, q0, settings=None, quad=None, init_label="custom"):
-    """Damped state evolution q <- (1-beta) q + beta proj_psd(rho - M_S(r*(q))).
+    """State-evolution fixed point from ``q0`` through :func:`fixed_point`.
 
-    Stops when the Frobenius norm of the undamped update falls below tol.
+    The map is T(q) = proj_psd(rho - M_S(r*(q))); the damped iteration it
+    accelerates is q <- (1-beta) q + beta T(q).  Coordinates are vech(q)
+    with off-diagonal entries scaled by sqrt(2), so the residual is the
+    Frobenius norm |T(q) - q| and converged means residual <= tol.
+    ``iterations`` counts map calls of the iteration (at most
+    ``max_iters``); the stability certificate adds d(d+1)/2 uncounted calls
+    and its radius is ``stability_radius`` (above 1: an unstable point).
     Non-convergence is reported through ``converged=False`` with the last
-    iterate, not an exception.  ``q0`` is checked once, by its projection
-    onto the PSD cone; the loop validates nothing.
+    evaluated iterate, not an exception.  ``q0`` is checked once, by its
+    projection onto the PSD cone; the loop validates nothing.
     """
     settings = settings or SolveSettings()
     quad = quad or default_scheme(model.d)
     rho = model.rho_bar()
-    q = psdlinalg.project_psd(np.asarray(q0, dtype=np.float64))
-    beta = settings.damping
-    converged = False
-    for iterations in range(1, settings.max_iters + 1):
-        a = psdlinalg.sqrtm_psd(model.s + r_star(model, q))
-        target = psdlinalg.project_psd(rho - _mmse_core(model.prior, a, quad))
-        residual = psdlinalg.frobenius(target - q)
-        if residual <= settings.tol:
-            converged = True
-            break
-        q = (1.0 - beta) * q + beta * target
-    q = psdlinalg.project_psd(q)
+    scale = psdlinalg.vech(np.sqrt(2.0) - (np.sqrt(2.0) - 1.0) * np.eye(model.d))
+
+    def to_q(x):
+        return psdlinalg.unvech(x / scale)
+
+    def step(x):
+        a = psdlinalg.sqrtm_psd(model.s + r_star(model, to_q(x)))
+        return scale * psdlinalg.vech(psdlinalg.project_psd(rho - _mmse_core(model.prior, a, quad)))
+
+    def project(x):
+        return scale * psdlinalg.vech(psdlinalg.project_psd(to_q(x)))
+
+    q0 = psdlinalg.project_psd(np.asarray(q0, dtype=np.float64))
+    x, residual, iterations, converged, radius = fixed_point(
+        step, scale * psdlinalg.vech(q0), settings, project)
+    q = to_q(x)
     return FixedPointResult(
         q_star=q,
         r_star=r_star(model, q),
@@ -91,6 +220,7 @@ def se_iterate(model, q0, settings=None, quad=None, init_label="custom"):
         iterations=iterations,
         init_label=init_label,
         converged=converged,
+        stability_radius=radius,
     )
 
 
@@ -101,7 +231,11 @@ def _candidate_runs(model, settings, quad, extra_inits=()):
 
 
 def solve_f(model, settings=None, quad=None, extra_inits=()):
-    """Single-letter value: run every init, return the smallest potential value."""
+    """Single-letter value: run every init, return the smallest potential value.
+
+    Where two inits reach the same q*, their potential values tie to about
+    1e-12 and ``init_label`` names whichever rounds lower.
+    """
     settings = settings or SolveSettings()
     quad = quad or default_scheme(model.d)
     runs = _candidate_runs(model, settings, quad, extra_inits)
@@ -183,6 +317,7 @@ def solve_infsup(model, settings=None, quad=None):
             iterations=iters,
             init_label=f"infsup:{run.init_label}",
             converged=run.converged,
+            stability_radius=run.stability_radius,
         )
         if best is None or value < best.f_value:
             best = cand
@@ -333,7 +468,8 @@ def sweep(model, path, grid, settings=None, quad=None):
     The previous grid point's q* is reused as an extra init (hysteresis
     tracking near first-order transitions), which makes the sweep sequential
     by contract.  A failing point yields an unconverged row and the sweep
-    continues.  A path that names no entry of ``model`` raises ValueError
+    continues.  A row's ``branch`` is the winning init's label; where several
+    inits reach the same q* it may name any of them (see :func:`solve_f`).  A path that names no entry of ``model`` raises ValueError
     before any point is solved.
     """
     path.check(model)

@@ -262,6 +262,17 @@ def test_exit_code_nonconvergence(rademacher_file, tmp_path):
     assert json.loads(out.read_text())["converged"] is False
 
 
+def test_solve_converges_at_lambda_c(tmp_path):
+    model = tmp_path / "critical.json"
+    model.write_text(json.dumps({"d": 1, "couplings": [[[0.5 ** 0.5]]], "s": [[0.0]],
+                                 "prior": {"discrete": {"atoms": [[1.0], [-1.0]],
+                                                        "weights": [0.5, 0.5]}}}))
+    out = tmp_path / "critical_out.json"
+    assert cli.run(["solve", "--model", str(model), "--out", str(out)]) == cli.EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is True and doc["q_star"][0][0] <= 1e-5
+
+
 def test_byte_determinism(rademacher_file, tmp_path):
     blobs = []
     for rep in range(3):

@@ -6,10 +6,14 @@ from rslimits import channel, priors, psdlinalg, solver
 from rslimits.potential import ModelSpec, check_hypothesis, potential
 from rslimits.quadrature import gauss_hermite
 
+import se_reference
 from conftest import rademacher_model, random_discrete_prior, random_psd
 
 WIGNER_F = 0.47157359027997264
 GH63 = gauss_hermite(63)
+# a residual below tol = 1e-10 puts an iterate whose damped map contracts by
+# c <= 0.999 within tol / (1 - c) = 1e-7 of its fixed point
+FP_TOL = 1e-7
 
 # Independent scalar routine (127-node quadrature + dense grid + golden
 # refinement).  Shares no code with the solver; used as the reduction oracle.
@@ -118,15 +122,69 @@ def test_se_iterate_loop_runs_unchecked(monkeypatch):
         return check_symmetric(*args, **kwargs)
 
     monkeypatch.setattr(psdlinalg, "check_symmetric", counting)
-    m = rademacher_model(1.05, s=0.1)     # near lambda_c: hundreds of iterations
+    m = rademacher_model(1.0)     # at lambda_c: 25 iterations leave the residual near 1e-7
     counts = []
-    for max_iters in (5, 50):
+    for max_iters in (5, 25):
         calls.clear()
         settings = solver.SolveSettings(tol=1e-14, max_iters=max_iters)
         res = solver.se_iterate(m, m.rho_bar(), settings, GH63)
         assert not res.converged and res.iterations == max_iters
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("lam, q_damped", [(1.05, 0.049086659325136985),
+                                           (2.0, 0.6184475351921406)])
+def test_se_iterate_leaves_unstable_zero(lam, q_damped):
+    # q = 0 is a fixed point of the symmetric prior, unstable for lambda > 1
+    # (damped-map radius (1 + lambda)/2); acceleration from the uninformative
+    # start lands on it within a few steps and must leave it for the damped
+    # iteration's fixed point (q_damped, recorded with damped state evolution)
+    m = rademacher_model(lam)
+    res = solver.se_iterate(m, solver.UNINFORMATIVE_SCALE * m.rho_bar(), quad=GH63)
+    assert res.converged and res.stability_radius < 1.0
+    npt.assert_allclose(res.q_star, [[q_damped]], atol=FP_TOL)
+    # leaving it spends iterations from the same budget
+    capped = solver.se_iterate(m, solver.UNINFORMATIVE_SCALE * m.rho_bar(),
+                               solver.SolveSettings(max_iters=10), GH63)
+    assert not capped.converged and capped.iterations == 10
+
+
+def sparse_model(lam):
+    prior = priors.discrete([[1.0], [0.0], [-1.0]], [0.025, 0.95, 0.025])
+    return ModelSpec(1, ([[np.sqrt(lam / 2.0)]],), [[0.0]], prior)
+
+
+def test_first_order_transition_matches_damped_reference():
+    # centred sparse prior (rho = 0.05): q = 0 is a stable fixed point up to
+    # lambda rho^2 = 1, and an informative branch appears near lambda = 290,
+    # so between them the two starts reach different fixed points and the
+    # smaller potential picks the winner
+    winners = {}
+    for lam in (250, 280, 285, 290, 295, 300, 350, 400, 450, 500):
+        m = sparse_model(lam)
+        res = solver.solve_f(m, quad=GH63)
+        ref = se_reference.branches(m, GH63)
+        f_ref, q_ref, label_ref = min(ref, key=lambda b: b[0])
+        assert res.converged
+        assert abs(res.f_value - f_ref) <= FP_TOL, lam
+        npt.assert_allclose(res.q_star, q_ref, atol=FP_TOL, err_msg=str(lam))
+        # where both starts reach the same q* their f values tie, and either label may win
+        if len(ref) == 2 and psdlinalg.frobenius(ref[0][1] - ref[1][1]) > solver.DEGENERACY_Q_TOL:
+            assert res.init_label == label_ref, lam
+            winners[lam] = label_ref
+    assert winners[290] == "uninformative" and winners[300] == "informative"
+
+
+def test_stalled_acceleration_falls_back_to_damping():
+    # lambda = 285, informative start: accelerated steps stall near q = 0.02,
+    # where T(q) - q comes within 2.6e-4 of zero without a root; damped steps
+    # carry the run past it to q = 0.  Damped alone takes 212 iterations,
+    # acceleration without the fallback 226.
+    m = sparse_model(285)
+    res = solver.se_iterate(m, m.rho_bar(), quad=GH63)
+    assert res.converged and res.q_star[0, 0] < 1e-9
+    assert res.iterations <= 150
 
 
 def test_settings_reject_out_of_range():
@@ -164,6 +222,24 @@ def test_solve_f_below_threshold_value():
     q_grid, f_grid = scalar_grid_solve(priors.rademacher(), 0.0, np.sqrt(0.45))
     npt.assert_allclose(f_grid, 0.225, atol=1e-7)
     assert q_grid < 1e-4
+
+
+def test_solve_f_converges_at_lambda_c_within_budget(monkeypatch):
+    # at lambda_c = 1 the damped iteration crawls (10,000 iterations per start
+    # leave both unconverged); the accelerated run needs a few dozen
+    runs = []
+    se_iterate = solver.se_iterate
+
+    def recording(*args, **kwargs):
+        runs.append(se_iterate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(solver, "se_iterate", recording)
+    res = solver.solve_f(rademacher_model(1.0), quad=GH63)
+    assert [r.init_label for r in runs] == ["uninformative", "informative"]
+    assert all(r.converged for r in runs)
+    assert sum(r.iterations for r in runs) <= 200
+    assert res.converged and res.q_star[0, 0] <= 1e-5   # sqrt(tol) at a critical point
 
 
 def test_solve_f_cone_interval(rng, fast_settings):
