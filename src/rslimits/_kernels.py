@@ -2,9 +2,10 @@
 
 Kernels
 -------
-* ``channel_discrete_moments``: inner loop of mutual information / posterior
-  covariance for a discrete prior observed through a Gaussian channel,
-  summed over (atom, quadrature node) pairs.
+* ``channel_discrete_moments``: mutual information and posterior moments of
+  a discrete prior seen through a Gaussian channel, summed over (atom,
+  quadrature node) pairs in one fused pass per chunk of ``CHUNK_LOGITS``
+  logits: one GEMM, one ``exp``; ``moments=False`` stops after log Z.
 * ``config_quadratic_terms``: data-dependent part of the log posterior
   weight of every enumerated signal configuration, for a chunk of data
   replicas at once: one GEMM of the configurations' signal matrix against
@@ -20,6 +21,9 @@ pin these vectorized forms.
 
 import numpy as np
 
+# logits per chunk of quadrature nodes: the (K, K, m) buffer, 16 MB of doubles
+CHUNK_LOGITS = 2_000_000
+
 
 def get_backend():
     """Name of the kernel implementation (recorded in benchmark metadata)."""
@@ -30,8 +34,8 @@ def get_backend():
 # discrete-prior Gaussian channel: MI and averaged posterior covariance
 # ---------------------------------------------------------------------------
 
-def channel_discrete_moments(logw, c, D, atoms, nodes, node_w):
-    """Channel moments, chunked over quadrature nodes to bound memory.
+def channel_discrete_moments(logw, c, D, atoms, nodes, node_w, *, moments=True):
+    """Channel moments in one fused pass per chunk of quadrature nodes.
 
     logw (K,), c (K, K), D (K, K, d) = A (x_k - x_j), atoms (K, d),
     nodes (M, d), node_w (M,).
@@ -39,33 +43,48 @@ def channel_discrete_moments(logw, c, D, atoms, nodes, node_w):
       mi = -sum_k w_k E_W[logsumexp_j(logw_j + c_kj - D_kj . W)]
       second_moment = sum_k w_k E_W[sum_j p_j x_j x_j^T]
       mean_outer   = sum_k w_k E_W[m m^T],  m = sum_j p_j x_j
-    with p the posterior over atoms given the channel output.
+    with p the posterior over atoms given the channel output.  With
+    ``moments=False`` the pass stops after log Z and returns (mi, None, None).
+
+    Per chunk of m nodes the logits are one (K^2, d) x (d, m) GEMM into one
+    (K, K, m) buffer indexed [j, k, m] (at most CHUNK_LOGITS entries, the
+    largest array; j leads, so reductions over j run over whole rows),
+    exponentiated once for both log Z = max + log sum e and the posterior.
+    Scaled by sqrt(w_k q_m) that is P~ (K, K m): pj = P~ sqrt(w q) gives the
+    second moment (atoms^T * pj) @ atoms, and the mean outer product is
+    atoms^T (P~ P~^T) atoms.
     """
     K, d = atoms.shape
     M = nodes.shape[0]
     w_prior = np.exp(logw)
+    base = (logw[None, :] + c).T[:, :, None]           # [j, k]: logw_j + c_kj
+    Dj = D.transpose(1, 0, 2).reshape(K * K, d)        # row j K + k: D_kj
     mi = 0.0
-    second = np.zeros((d, d))
-    outer = np.zeros((d, d))
-    chunk = max(1, int(2_000_000 // max(K * K, 1)))
+    pj = np.zeros(K)
+    gram = np.zeros((K, K))
+    chunk = max(1, CHUNK_LOGITS // (K * K))
+    store = np.empty(K * K * min(chunk, M))            # one buffer, reused by every chunk
     for lo in range(0, M, chunk):
-        W = nodes[lo:lo + chunk]                       # (m, d)
         qw = node_w[lo:lo + chunk]                     # (m,)
-        # logits (K, m, K): logw_j + c_kj - D_kj . W_m
-        logits = logw[None, None, :] + c[:, None, :] - np.einsum("kjd,md->mkj", D, W).transpose(1, 0, 2)
-        lse = _logsumexp(logits, axis=2)               # (K, m)
-        mi -= float(np.einsum("k,m,km->", w_prior, qw, lse))
-        p = np.exp(logits - lse[:, :, None])           # (K, m, K) posterior over j
-        pw = np.einsum("k,m,kmj->kmj", w_prior, qw, p)
-        second += np.einsum("kmj,ja,jb->ab", pw, atoms, atoms)
-        means = p @ atoms                              # (K, m, d)
-        outer += np.einsum("k,m,kma,kmb->ab", w_prior, qw, means, means)
-    return mi, second, outer
-
-
-def _logsumexp(a, axis):
-    amax = a.max(axis=axis, keepdims=True)
-    return (amax + np.log(np.exp(a - amax).sum(axis=axis, keepdims=True))).squeeze(axis)
+        m = qw.shape[0]
+        buf = store[:K * K * m].reshape(K, K, m)
+        np.matmul(Dj, nodes[lo:lo + chunk].T, out=buf.reshape(K * K, m))
+        np.subtract(base, buf, out=buf)                # logits [j, k, m]
+        top = buf.max(axis=0)                          # (K, m), finite: w_j > 0 for some j
+        buf -= top
+        np.exp(buf, out=buf)
+        z = buf.sum(axis=0)                            # (K, m)
+        mi -= float(w_prior @ (top + np.log(z)) @ qw)  # log Z = top + log z
+        if not moments:
+            continue
+        root = np.sqrt(np.multiply.outer(w_prior, qw))
+        buf *= root / z                                # sqrt(w_k q_m) p_jkm
+        flat = buf.reshape(K, K * m)
+        pj += flat @ root.reshape(K * m)
+        gram += flat @ flat.T
+    if not moments:
+        return mi, None, None
+    return mi, (atoms.T * pj) @ atoms, atoms.T @ gram @ atoms
 
 
 # ---------------------------------------------------------------------------

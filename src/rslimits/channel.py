@@ -13,7 +13,10 @@ form
     I = -E_{k,W}[ log sum_j w_j exp(-||A(x_k - x_j)||^2 / 2 - W . A(x_k - x_j)) ]
 
 with log-sum-exp, which avoids density ratios entirely; the same logits give
-the posterior weights used for the covariance.
+the posterior weights used for the covariance.  No result needs both from
+one kernel call: ``_mi_core`` (the potential, f(S)) asks the kernel for the
+mutual information alone (``moments=False``), and ``_mmse_core`` (each
+state-evolution step) for the posterior moments.
 
 Validation policy: :func:`mutual_information` and :func:`mmse_matrix` check
 ``s`` and ``r`` (symmetric PSD, d x d) and pass A = (S + r)^{1/2} to the
@@ -38,8 +41,9 @@ def _channel_matrix(prior, s, r):
     return psdlinalg.sqrtm_psd(s + r)
 
 
-def _discrete_moments(prior, a, quad):
-    """Kernel moments (mi, second moment, mean outer product) of a discrete prior."""
+def _discrete_moments(prior, a, quad, moments):
+    """Kernel output (mi, second moment, mean outer product) of a discrete prior;
+    the two moments are None unless ``moments``."""
     quad = quad or default_scheme(prior.dim)
     nodes, node_w = quad.nodes_weights(prior.dim)
     atoms = prior.atoms
@@ -48,7 +52,7 @@ def _discrete_moments(prior, a, quad):
     c = -0.5 * np.einsum("kjd,kjd->kj", D, D)
     with np.errstate(divide="ignore"):
         logw = np.log(prior.weights)
-    return _kernels.channel_discrete_moments(logw, c, D, atoms, nodes, node_w)
+    return _kernels.channel_discrete_moments(logw, c, D, atoms, nodes, node_w, moments=moments)
 
 
 def _mi_core(prior, a, quad):
@@ -59,7 +63,7 @@ def _mi_core(prior, a, quad):
         if sign <= 0:
             raise FloatingPointError("log-det of I + A Sigma A not positive")
         return 0.5 * logdet
-    mi, _, _ = _discrete_moments(prior, a, quad)
+    mi, _, _ = _discrete_moments(prior, a, quad, moments=False)
     if not np.isfinite(mi):
         raise FloatingPointError("quadrature produced a non-finite mutual information")
     return float(mi)
@@ -72,7 +76,7 @@ def _mmse_core(prior, a, quad):
         M = np.eye(prior.dim) + a @ Sig @ a
         out = Sig - Sig @ a @ np.linalg.solve(M, a @ Sig)
         return psdlinalg.project_psd(out)
-    _, second, outer = _discrete_moments(prior, a, quad)
+    _, second, outer = _discrete_moments(prior, a, quad, moments=True)
     cov = second - outer
     if not np.all(np.isfinite(cov)):
         raise FloatingPointError("quadrature produced a non-finite MMSE matrix")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import oracle, priors, rotinv, solver
 from .potential import ModelSpec, check_hypothesis, potential
-from .quadrature import default_scheme, gauss_hermite, monte_carlo
+from .quadrature import MAX_NODES, default_scheme, gauss_hermite, monte_carlo
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -203,11 +203,17 @@ def parse_rotinv_model(text):
 
 def _quad_for(args, dim):
     if args.quad_nodes is not None:
-        return gauss_hermite(args.quad_nodes)
-    if dim >= 4:
+        quad = gauss_hermite(args.quad_nodes)
+    elif dim >= 4:
         samples = 1_000_000 if args.mc_samples is None else args.mc_samples
-        return monte_carlo(samples, seed=args.seed)
-    return default_scheme(dim, seed=args.seed)
+        quad = monte_carlo(samples, seed=args.seed)
+    else:
+        quad = default_scheme(dim, seed=args.seed)
+    count = quad.node_count(dim)
+    if count > MAX_NODES:
+        raise ConfigError(f"quadrature too large: {quad.kind} with {count} nodes at d = {dim} "
+                          f"> {MAX_NODES}")
+    return quad
 
 
 def _settings(args):

@@ -9,7 +9,9 @@ Two kinds are supported:
 
 Tensor grids explode exponentially with the dimension, hence the default
 policy: 63 nodes/dim for d <= 2, 21 nodes/dim for d = 3, Monte Carlo with
-1e6 samples for d >= 4.
+1e6 samples for d >= 4.  A scheme's node count at a dimension is known
+before any node is built (:meth:`QuadratureScheme.node_count`), so a caller
+can refuse one above ``MAX_NODES`` up front.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,12 @@ import numpy as np
 
 GAUSS_HERMITE = "gauss-hermite"
 MONTE_CARLO = "monte-carlo"
+
+# most nodes a scheme may have at the dimension it is used at: at d = 4 the
+# nodes and weights then take 160 MB (a 63-node tensor grid there has 1.6e7)
+MAX_NODES = 4_000_000
+# numpy's hermgauss returns NaN weights from about 380 nodes on
+MAX_GH_NODES_PER_DIM = 300
 
 
 @dataclass(frozen=True)
@@ -40,6 +48,9 @@ class QuadratureScheme:
         if self.kind == GAUSS_HERMITE:
             if not self.nodes_per_dim or self.nodes_per_dim < 1:
                 raise ValueError("gauss-hermite scheme needs nodes_per_dim >= 1")
+            if self.nodes_per_dim > MAX_GH_NODES_PER_DIM:
+                raise ValueError(f"gauss-hermite scheme needs nodes_per_dim <= {MAX_GH_NODES_PER_DIM}, "
+                                 f"got {self.nodes_per_dim}")
         elif self.kind == MONTE_CARLO:
             if not self.sample_count or self.sample_count < 1:
                 raise ValueError("monte-carlo scheme needs sample_count >= 1")
@@ -47,6 +58,12 @@ class QuadratureScheme:
                 raise ValueError("monte-carlo scheme needs a seed")
         else:
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
+
+    def node_count(self, dim):
+        """Number of nodes at dimension ``dim``, without building them."""
+        if self.kind == GAUSS_HERMITE:
+            return self.nodes_per_dim ** dim
+        return self.sample_count
 
     def nodes_weights(self, dim):
         """Return (nodes, weights): nodes (M, dim), weights (M,) summing to 1."""

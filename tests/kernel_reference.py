@@ -7,7 +7,7 @@ term by term; tests/test_kernels.py uses them as the reference.
 import numpy as np
 
 
-def channel_discrete_moments(logw, c, D, atoms, nodes, node_w):
+def channel_discrete_moments(logw, c, D, atoms, nodes, node_w, *, moments=True):
     K, d = atoms.shape
     M = nodes.shape[0]
     w_prior = np.exp(logw)
@@ -36,6 +36,8 @@ def channel_discrete_moments(logw, c, D, atoms, nodes, node_w):
             lse = top + np.log(z)
             wkm = wk * node_w[m]
             mi -= wkm * lse
+            if not moments:
+                continue
             for t in range(d):
                 mean[t] = 0.0
             for j in range(K):
@@ -49,6 +51,8 @@ def channel_discrete_moments(logw, c, D, atoms, nodes, node_w):
             for a in range(d):
                 for b in range(d):
                     outer[a, b] += wkm * mean[a] * mean[b]
+    if not moments:
+        return mi, None, None
     return mi, second, outer
 
 

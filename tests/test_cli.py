@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -6,6 +7,7 @@ import pytest
 
 from rslimits import _kernels, cli, oracle, priors
 from rslimits.potential import ModelSpec
+from rslimits.quadrature import MAX_NODES
 
 WIGNER_DOC = """
 {"d": 1, "couplings": [[[1.0]]], "s": [[0.0]],
@@ -252,6 +254,30 @@ def test_exit_code_input_error(rademacher_file, tmp_path, capsys):
         capsys.readouterr()
         assert cli.run(["oracle", "--model", str(wide), "--n", str(n)]) == cli.EXIT_INPUT
         assert f"enumeration budget exceeded: n = {n} > 63 rows" in capsys.readouterr().err
+    # quadrature larger than MAX_NODES at the model's d: refused before any
+    # node is built (a 63^4 grid is 1.6e7 nodes, 1e9 draws at d = 4 are 32 GB),
+    # for the sweep too, which otherwise records a failed point and goes on
+    d4 = tmp_path / "d4.json"
+    d4.write_text(json.dumps({"d": 4, "couplings": [np.eye(4).tolist()], "s": np.zeros((4, 4)).tolist(),
+                              "prior": {"discrete": {"atoms": np.eye(4).tolist(), "weights": [0.25] * 4}}}))
+    for command, flags, kind, count in (
+            ("solve", ["--quad-nodes", "63"], "gauss-hermite", 63 ** 4),
+            ("solve", ["--mc-samples", "1000000000"], "monte-carlo", 10 ** 9),
+            ("sweep", ["--quad-nodes", "63", "--path", "coupling:0", "--grid", "0,1"], "gauss-hermite", 63 ** 4)):
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert cli.run([command, "--model", str(d4), *flags]) == cli.EXIT_INPUT
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (f"quadrature too large: {kind} with {count} nodes at d = 4 > {MAX_NODES}"
+                in capsys.readouterr().err)
+        assert peak < 1_000_000
+    # numpy's Gauss-Hermite rule breaks down past MAX_GH_NODES_PER_DIM nodes
+    capsys.readouterr()
+    assert cli.run(["solve", "--model", rademacher_file, "--quad-nodes", "400"]) == cli.EXIT_INPUT
+    assert "nodes_per_dim <= 300, got 400" in capsys.readouterr().err
 
 
 def test_exit_code_nonconvergence(rademacher_file, tmp_path):

@@ -1,5 +1,7 @@
 """The vectorized kernels must match their brute-force loop references."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 
@@ -11,21 +13,69 @@ import kernel_reference as ref
 from conftest import rademacher_model, random_discrete_prior
 
 
+def _product_prior_d4():
+    # d=4, K=16: +-1 on two coordinates, {0, 1} on two, uniform weights
+    pm, zo = (1.0, -1.0), (0.0, 1.0)
+    atoms = np.array(np.meshgrid(pm, pm, zo, zo, indexing="ij")).reshape(4, -1).T
+    return priors.discrete(atoms, np.full(16, 1.0 / 16))
+
+
+def _channel_pair(prior, quad):
+    d = prior.dim
+    s = 0.1 * np.eye(d)
+    r = 0.7 * np.eye(d)
+    return (channel.mutual_information(prior, s, r, quad),
+            channel.mmse_matrix(prior, s, r, quad))
+
+
 def test_channel_moments_match_reference(rng, monkeypatch):
-    for prior, quad in [(priors.rademacher(), gauss_hermite(63)),
-                        (random_discrete_prior(rng, 2), gauss_hermite(21)),
-                        (random_discrete_prior(rng, 3, atom_count=3), monte_carlo(2000, seed=4))]:
-        d = prior.dim
-        s = 0.1 * np.eye(d)
-        r = 0.7 * np.eye(d)
-        fast = (channel.mutual_information(prior, s, r, quad),
-                channel.mmse_matrix(prior, s, r, quad))
+    atoms, weights = [[1.0, 0.5], [-1.0, 0.0], [0.2, -1.2]], [0.5, 0.3, 0.2]
+    cases = [(priors.rademacher(), gauss_hermite(63), None),
+             (random_discrete_prior(rng, 2), gauss_hermite(21), None),
+             (random_discrete_prior(rng, 3, atom_count=3), monte_carlo(2000, seed=4), None),
+             # 441 nodes in chunks of 6, the last one partial
+             (random_discrete_prior(rng, 2), gauss_hermite(21), 100),
+             (_product_prior_d4(), monte_carlo(64, seed=2), None),
+             # last: a zero-weight atom, whose -inf logits the one exp sends to 0
+             (priors.discrete(atoms + [[2.0, 2.0]], weights + [0.0]), monte_carlo(3000, seed=6), None)]
+    for prior, quad, chunk_logits in cases:
         with monkeypatch.context() as mp:
+            if chunk_logits is not None:
+                mp.setattr(_kernels, "CHUNK_LOGITS", chunk_logits)
+            fast = _channel_pair(prior, quad)
+            # the MI-only path computes the full path's MI, bit for bit
+            a = psdlinalg.sqrtm_psd(0.8 * np.eye(prior.dim))
+            mi = channel._discrete_moments(prior, a, quad, moments=True)[0]
+            assert channel._discrete_moments(prior, a, quad, moments=False) == (mi, None, None)
             mp.setattr(_kernels, "channel_discrete_moments", ref.channel_discrete_moments)
-            slow = (channel.mutual_information(prior, s, r, quad),
-                    channel.mmse_matrix(prior, s, r, quad))
+            slow = _channel_pair(prior, quad)
         npt.assert_allclose(fast[0], slow[0], rtol=1e-12, atol=1e-13)
         npt.assert_allclose(fast[1], slow[1], rtol=1e-10, atol=1e-13)
+        if chunk_logits is not None:
+            whole = _channel_pair(prior, quad)
+            npt.assert_allclose(fast[0], whole[0], rtol=1e-13, atol=1e-14)
+            npt.assert_allclose(fast[1], whole[1], rtol=1e-12, atol=1e-14)
+    # the zero-weight atom drops out: the numbers of the prior without it
+    without = _channel_pair(priors.discrete(atoms, weights), quad)
+    npt.assert_allclose(fast[0], without[0], rtol=0, atol=1e-13)
+    npt.assert_allclose(fast[1], without[1], rtol=0, atol=1e-13)
+
+
+def test_channel_kernel_memory_bounded():
+    # one (K, K, m) buffer of CHUNK_LOGITS doubles (16 MB) is the largest
+    # array: the peak is the 2e5 nodes and weights (8 MB) plus that buffer
+    # plus (K, m) rows.  Measured 27.0 MB; the unfused kernel peaked at
+    # 94.0 MB (several K^2 m temporaries at once).
+    prior = _product_prior_d4()
+    quad = monte_carlo(200_000, seed=1)
+    nodes_bytes = 200_000 * (4 + 1) * 8
+    tracemalloc.start()
+    try:
+        channel.mutual_information(prior, np.zeros((4, 4)), 0.8 * np.eye(4), quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= nodes_bytes + 1.5 * 8 * _kernels.CHUNK_LOGITS
 
 
 def test_config_kernels_match_reference():

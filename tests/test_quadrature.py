@@ -52,6 +52,20 @@ def test_default_policy():
     scheme4 = qd.default_scheme(4)
     assert scheme4.kind == qd.MONTE_CARLO
     assert scheme4.sample_count == 1_000_000
+    # every default fits the node bound at its dimension
+    for d in range(1, 9):
+        assert qd.default_scheme(d).node_count(d) <= qd.MAX_NODES
+
+
+def test_node_count_matches_nodes_built():
+    for scheme, dim in ((qd.gauss_hermite(7), 3), (qd.monte_carlo(123, seed=1), 5)):
+        assert scheme.node_count(dim) == scheme.nodes_weights(dim)[0].shape[0]
+
+
+def test_largest_gauss_hermite_rule_is_valid():
+    _, w = qd.gauss_hermite(qd.MAX_GH_NODES_PER_DIM).nodes_weights(1)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0)
+    npt.assert_allclose(w.sum(), 1.0, rtol=1e-12)
 
 
 def test_invalid_schemes():
@@ -61,3 +75,5 @@ def test_invalid_schemes():
         qd.QuadratureScheme("monte-carlo", sample_count=10)  # missing seed
     with pytest.raises(ValueError):
         qd.QuadratureScheme("trapezoid", nodes_per_dim=5)
+    with pytest.raises(ValueError, match="nodes_per_dim <= 300"):
+        qd.gauss_hermite(qd.MAX_GH_NODES_PER_DIM + 1)
