@@ -14,9 +14,12 @@ Kernels
   enumerated configurations.  The oracle no longer calls it (it takes its
   posterior row means as P^T p); it stays because perfbench's traced run
   wraps it by name.
+* ``logsumexp``: max-shifted log-sum-exp along an axis, the oracle's
+  normalization (numpy only, so the package needs no scipy at run time).
 
-Brute-force loop versions of all three live in tests/kernel_reference.py and
-pin these vectorized forms.
+Brute-force loop versions of the first three live in
+tests/kernel_reference.py and pin these vectorized forms; ``logsumexp`` is
+pinned against scipy's in the tests.
 """
 
 import numpy as np
@@ -117,3 +120,17 @@ def config_row_marginals(C, p, K):
     for i in range(n):
         marg[i] = np.bincount(C[:, i], weights=p, minlength=K)
     return marg
+
+
+def logsumexp(a, axis=0):
+    """log sum exp(a) along ``axis``, shifted by the maximum so no term overflows.
+
+    A slice whose entries are all -inf gives -inf (its shift is taken as 0).
+    """
+    top = np.max(a, axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    shifted = a - top
+    np.exp(shifted, out=shifted)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(shifted, axis=axis, keepdims=True))
+    return np.squeeze(out + top, axis=axis)

@@ -33,12 +33,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import _kernels, psdlinalg
+from ._kernels import logsumexp
 from .priors import DISCRETE
 
-DEFAULT_BUDGET = 200_000
+DEFAULT_BUDGET = 200_000      # configurations one request may enumerate
 # np.indices builds an (n + 1)-dimensional array and numpy allows 64 axes, so
 # at most 63 rows can be enumerated whatever the atom count.
 MAX_ROWS = 63
@@ -68,7 +68,7 @@ class PosteriorSummary:
     replica_overlap_mean: np.ndarray  # (d, d) two-replica overlap
 
 
-def _check_enumerable(model, n, budget, data_samples=1):
+def _check_enumerable(model, n, data_samples=1):
     """The one check of an oracle request."""
     if model.prior.kind != DISCRETE:
         raise ValueError("exact enumeration requires a discrete prior")
@@ -79,8 +79,9 @@ def _check_enumerable(model, n, budget, data_samples=1):
     if n > MAX_ROWS:
         raise ValueError(f"enumeration budget exceeded: n = {n} > {MAX_ROWS} rows")
     K = model.prior.atom_count
-    if K ** n > budget:
-        raise ValueError(f"enumeration budget exceeded: {K}^{n} configurations > {budget}")
+    if K ** n > DEFAULT_BUDGET:
+        raise ValueError(
+            f"enumeration budget exceeded: {K}^{n} configurations > {DEFAULT_BUDGET}")
 
 
 def _rng(seed, stream):
@@ -94,14 +95,14 @@ def _as_entropy(seed):
     return (int(seed),)
 
 
-def sample_instance(model, n, seed, budget=DEFAULT_BUDGET):
+def sample_instance(model, n, seed):
     """Draw signal and data; reproducible given the seed.
 
     The signal and noise streams are independent (separate counter-based
     streams derived from the seed), so e.g. the noise realization does not
     change when the prior gains atoms.
     """
-    _check_enumerable(model, n, budget)
+    _check_enumerable(model, n)
     return _draw(model, n, seed, psdlinalg.sqrtm_psd(model.s))
 
 
@@ -203,10 +204,10 @@ def _score(insts, enum, a_root):
     return log_z, ll_signal, means, p
 
 
-def exact_posterior(inst, budget=DEFAULT_BUDGET):
+def exact_posterior(inst):
     """Enumerate the posterior exactly; log-domain weights throughout."""
     model, n = inst.model, inst.n
-    _check_enumerable(model, n, budget)
+    _check_enumerable(model, n)
     a_root = psdlinalg.sqrtm_psd(model.s)
     enum = _enumerate(model, n, a_root)
     log_z, _, means, p = _score([inst], enum, a_root)
@@ -234,7 +235,7 @@ class ReplicaAverage:
     samples: int
 
 
-def replica_average(model, n, data_samples, seed, budget=DEFAULT_BUDGET):
+def replica_average(model, n, data_samples, seed):
     """Monte Carlo averages over seeded data replicas, scored in chunks.
 
     Replica ``rep`` is ``sample_instance(model, n, seed + (rep,))``; the
@@ -253,7 +254,7 @@ def replica_average(model, n, data_samples, seed, budget=DEFAULT_BUDGET):
 
     Standard errors are NaN for a single replica.
     """
-    _check_enumerable(model, n, budget, data_samples)
+    _check_enumerable(model, n, data_samples)
     a_root = psdlinalg.sqrtm_psd(model.s)
     enum = _enumerate(model, n, a_root)
     chunk = _chunk_size(len(enum.configs), n * model.d)

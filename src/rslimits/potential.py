@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import psdlinalg
-from .channel import _mi_core, mutual_information
+from .channel import _mi_core
 from .priors import Prior
 from .quadrature import default_scheme
 
@@ -132,13 +132,15 @@ def potential_at_stationary_q(model, q, quad=None):
     """I(r*(q), q) in reduced form: I_S(r*(q)) + sum_l Tr[B^T (rho-q) B (rho-q)]/2.
 
     Algebraically identical to potential(model, r_star(q), q); the identity
-    is pinned by tests.
+    is pinned by tests.  ``q`` is checked for symmetry only: it is trusted to
+    be PSD (state-evolution iterates are projected), so r*(q) is PSD and the
+    channel core runs unchecked.
     """
     q = psdlinalg.check_symmetric(q, name="q")
     quad = quad or default_scheme(model.d)
     rho = model.rho_bar()
     gap = rho - q
-    value = mutual_information(model.prior, model.s, r_star(model, q), quad)
+    value = _mi_core(model.prior, psdlinalg.sqrtm_psd(model.s + r_star(model, q)), quad)
     for b in model.couplings:
         value += 0.5 * _trace_prod(b.T @ gap @ b, gap)
     return float(value)

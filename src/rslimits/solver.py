@@ -28,10 +28,18 @@ iteration converges to; where several coexist, which one a start reaches can
 differ from the damped iteration's, and the test suite checks the selected
 value against damped state evolution through a first-order transition.
 
-The inf-sup route solves the inner concave maximization over q directly
-(projected gradient ascent on (r - r*(q))/2, whose iteration cost is pure
-linear algebra) for each candidate r in the image of r* over the fixed-point
-set, and must agree with the single-letter value up to duality tolerance.
+Every selection reads one list of branches (:func:`_branches`): the runs
+from all inits, merged where their q* agree within ``DEGENERACY_Q_TOL``.
+``solve_f`` takes the least f, ``predict_mmse`` its best branch and the
+branches that tie with it in value, ``sweep`` goes through ``solve_f``.
+
+The inf-sup route takes the candidate r from the image of r* over the
+branches.  At r = r*(q*) the inner objective q -> I(r, q) is concave under
+the positive-coupling hypothesis and its gradient (r - r*(q))/2 is zero at
+q*, so the inner sup is attained at q* in closed form: each branch scores
+the full three-term potential(model, r*, q*), and the least score must agree
+with the single-letter value up to duality tolerance.  No outer inf over
+other r is searched.
 """
 
 import math
@@ -42,8 +50,7 @@ import numpy as np
 
 from . import psdlinalg
 from .channel import _mmse_core, mmse_matrix
-from .potential import (check_hypothesis, coupling_structure_matrix, potential,
-                        potential_at_stationary_q, r_star)
+from .potential import check_hypothesis, potential, potential_at_stationary_q, r_star
 from .quadrature import default_scheme
 
 UNINFORMATIVE_SCALE = 1e-3   # strict zero can be a symmetry-pinned fixed point
@@ -224,72 +231,46 @@ def se_iterate(model, q0, settings=None, quad=None, init_label="custom"):
     )
 
 
-def _candidate_runs(model, settings, quad, extra_inits=()):
+def _branches(model, settings, quad, extra_inits=()):
+    """The fixed-point branches that every selection in this module reads.
+
+    Runs ``se_iterate`` from each init (uninformative, informative, then
+    ``extra_inits``) and keeps the converged runs, or every run if none
+    converged.  Runs whose q* lie within ``DEGENERACY_Q_TOL`` of each other
+    are one branch, represented by its run with the smallest residual, so
+    distinct branches are more than ``DEGENERACY_Q_TOL`` apart.
+    """
     rho = model.rho_bar()
     inits = (("uninformative", UNINFORMATIVE_SCALE * rho), ("informative", rho), *extra_inits)
-    return [se_iterate(model, q0, settings, quad, init_label=label) for label, q0 in inits]
+    runs = [se_iterate(model, q0, settings, quad, init_label=label) for label, q0 in inits]
+    branches = []
+    for run in sorted([r for r in runs if r.converged] or runs, key=lambda r: r.residual):
+        if all(psdlinalg.frobenius(run.q_star - b.q_star) > DEGENERACY_Q_TOL for b in branches):
+            branches.append(run)
+    return branches
 
 
 def solve_f(model, settings=None, quad=None, extra_inits=()):
-    """Single-letter value: run every init, return the smallest potential value.
+    """Single-letter value: the branch with the smallest potential value.
 
-    Where two inits reach the same q*, their potential values tie to about
-    1e-12 and ``init_label`` names whichever rounds lower.
+    Where several inits reach the same fixed point, ``init_label`` and
+    ``iterations`` are those of the run with the smallest residual (see
+    :func:`_branches`); ``converged`` is False only if no run converged.
     """
     settings = settings or SolveSettings()
     quad = quad or default_scheme(model.d)
-    runs = _candidate_runs(model, settings, quad, extra_inits)
-    converged = [r for r in runs if r.converged]
-    pool = converged if converged else runs
-    best = min(pool, key=lambda r: r.f_value)
-    if not converged:
-        best = replace(best, converged=False)
-    return best
-
-
-def _dedupe_fixed_points(runs, tol=1e-6):
-    unique = []
-    for run in runs:
-        if all(psdlinalg.frobenius(run.q_star - u.q_star) > tol for u in unique):
-            unique.append(run)
-    return unique
-
-
-def _inner_sup(model, r, q0, settings):
-    """Concave maximization of q -> I(r, q) by projected gradient ascent.
-
-    The gradient (r - r*(q))/2 is linear algebra only; the step size is the
-    inverse Lipschitz constant of the gradient (half the spectral norm of
-    the coupling structure matrix).
-    """
-    H = coupling_structure_matrix(model)
-    lip = 0.5 * float(np.linalg.norm(H, 2)) if H.size else 0.0
-    scale = max(1.0, psdlinalg.frobenius(model.rho_bar()))
-    if lip <= 0.0:
-        # no quartic piece: the objective is linear in q, finite only at r = 0
-        if psdlinalg.frobenius(r) <= settings.tol * scale:
-            return q0.copy(), 0.0, 0, True
-        return q0.copy(), np.inf, 0, False
-    step = 1.0 / lip
-    q = psdlinalg.project_psd(q0)
-    for it in range(1, settings.max_iters + 1):
-        g = 0.5 * (r - r_star(model, q))
-        q_new = psdlinalg.project_psd(q + step * g)
-        residual = psdlinalg.frobenius(q_new - q) / step
-        q = q_new
-        if residual <= settings.tol * scale:
-            return q, residual, it, True
-        if psdlinalg.frobenius(q) > 1e9 * scale:
-            break
-    return q, residual, settings.max_iters, False
+    return min(_branches(model, settings, quad, extra_inits), key=lambda b: b.f_value)
 
 
 def solve_infsup(model, settings=None, quad=None):
-    """inf over candidate r of sup over PSD q of the potential.
+    """inf over the branches' r = r*(q*) of sup over PSD q of the potential.
 
-    Candidate r values are the image of r* over the fixed-point set.  The
-    inner sup is concave under the positive-coupling hypothesis; without it
-    this routine refuses.
+    Under the positive-coupling hypothesis q -> I(r, q) is concave with
+    gradient (r - r*(q))/2, which vanishes at q = q*, so the sup is attained
+    at q* and each branch scores the full three-term potential(model, r*,
+    q*).  The result is the lowest-scoring branch with its own SE
+    ``iterations``, ``residual`` and ``converged``, labelled
+    ``infsup:<init>``.  Without the hypothesis this routine refuses.
     """
     settings = settings or SolveSettings()
     quad = quad or default_scheme(model.d)
@@ -299,31 +280,10 @@ def solve_infsup(model, settings=None, quad=None):
             "positive-coupling hypothesis violated "
             f"(min eigenvalue {report.min_eigenvalue:.3e}): the inner sup over q "
             "is not concave, refusing the inf-sup route")
-    runs = _dedupe_fixed_points(_candidate_runs(model, settings, quad))
-    best = None
-    for run in runs:
-        r_cand = run.r_star
-        q_sup, residual, iters, ok = _inner_sup(model, r_cand, run.q_star, settings)
-        if not ok:
-            warnings.warn(f"inner sup did not converge from branch {run.init_label!r}",
-                          RuntimeWarning)
-            continue
-        value = potential(model, r_cand, q_sup, quad, check_interval=False).value
-        cand = FixedPointResult(
-            q_star=q_sup,
-            r_star=r_cand,
-            f_value=value,
-            residual=residual,
-            iterations=iters,
-            init_label=f"infsup:{run.init_label}",
-            converged=run.converged,
-            stability_radius=run.stability_radius,
-        )
-        if best is None or value < best.f_value:
-            best = cand
-    if best is None:
-        raise RuntimeError("inner sup failed to converge from every fixed-point branch")
-    return best
+    scored = [(potential(model, b.r_star, b.q_star, quad, check_interval=False).value, b)
+              for b in _branches(model, settings, quad)]
+    value, best = min(scored, key=lambda vb: vb[0])
+    return replace(best, f_value=value, init_label=f"infsup:{best.init_label}")
 
 
 @dataclass(frozen=True)
@@ -387,11 +347,10 @@ def predict_mmse(model, settings=None, quad=None, allow_singular=False):
         warnings.warn("singular S regularized by 1e-8 I for the MMSE prediction; "
                       "the limit theorem assumes S positive definite", RuntimeWarning)
         model = model.with_s(model.s + 1e-8 * np.eye(model.d))
-    runs = _dedupe_fixed_points(_candidate_runs(model, settings, quad))
-    best = min(runs, key=lambda r: r.f_value)
-    ties = [r for r in runs
-            if abs(r.f_value - best.f_value) <= DEGENERACY_VALUE_TOL
-            and psdlinalg.frobenius(r.q_star - best.q_star) > DEGENERACY_Q_TOL]
+    branches = _branches(model, settings, quad)
+    best = min(branches, key=lambda b: b.f_value)
+    ties = [b for b in branches
+            if b is not best and abs(b.f_value - best.f_value) <= DEGENERACY_VALUE_TOL]
     degenerate = bool(ties)
     mmse = mmse_matrix(model.prior, model.s, best.r_star, quad)
     bounds = ()
@@ -468,8 +427,9 @@ def sweep(model, path, grid, settings=None, quad=None):
     The previous grid point's q* is reused as an extra init (hysteresis
     tracking near first-order transitions), which makes the sweep sequential
     by contract.  A failing point yields an unconverged row and the sweep
-    continues.  A row's ``branch`` is the winning init's label; where several
-    inits reach the same q* it may name any of them (see :func:`solve_f`).  A path that names no entry of ``model`` raises ValueError
+    continues.  A row's ``branch`` is the label :func:`solve_f` reports:
+    where several inits reach the same q*, the run with the smallest
+    residual.  A path that names no entry of ``model`` raises ValueError
     before any point is solved.
     """
     path.check(model)

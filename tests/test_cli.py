@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -317,3 +321,15 @@ def test_byte_determinism_oracle(rademacher_file, tmp_path):
                         "--mc-samples", "50", "--seed", "9", "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency: importing the CLI (and with it
+    # every module of the package) must not pull in any part of scipy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, rslimits.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

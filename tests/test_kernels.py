@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
+from scipy.special import logsumexp as scipy_logsumexp
 
 from rslimits import _kernels, channel, oracle, priors, psdlinalg
 from rslimits.potential import ModelSpec
@@ -108,3 +109,17 @@ def test_reference_kernels_full_pipeline(monkeypatch):
     monkeypatch.setattr(_kernels, "config_row_marginals", ref.config_row_marginals)
     slow = oracle.replica_average(m, 4, 50, seed=3).mi_per_row
     npt.assert_allclose(fast, slow, rtol=1e-12)
+
+
+def test_logsumexp_matches_scipy(rng):
+    # columns far from 0 (a shift-free sum would overflow or underflow), a
+    # column with -inf entries (zero-weight terms) and an all -inf column
+    a = rng.normal(0.0, 30.0, size=(257, 6))
+    a[:, 1] += 800.0
+    a[:, 2] -= 800.0
+    a[::3, 3] = -np.inf
+    a[:, 4] = -np.inf
+    got = _kernels.logsumexp(a, axis=0)
+    assert got.shape == (6,) and got[4] == -np.inf
+    npt.assert_allclose(got, scipy_logsumexp(a, axis=0), rtol=1e-15, atol=0)
+    npt.assert_allclose(_kernels.logsumexp(a.T, axis=1), got, rtol=1e-15, atol=0)

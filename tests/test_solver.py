@@ -224,9 +224,7 @@ def test_solve_f_below_threshold_value():
     assert q_grid < 1e-4
 
 
-def test_solve_f_converges_at_lambda_c_within_budget(monkeypatch):
-    # at lambda_c = 1 the damped iteration crawls (10,000 iterations per start
-    # leave both unconverged); the accelerated run needs a few dozen
+def _recording_se_iterate(monkeypatch):
     runs = []
     se_iterate = solver.se_iterate
 
@@ -235,11 +233,31 @@ def test_solve_f_converges_at_lambda_c_within_budget(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(solver, "se_iterate", recording)
+    return runs
+
+
+def test_solve_f_converges_at_lambda_c_within_budget(monkeypatch):
+    # at lambda_c = 1 the damped iteration crawls (10,000 iterations per start
+    # leave both unconverged); the accelerated run needs a few dozen
+    runs = _recording_se_iterate(monkeypatch)
     res = solver.solve_f(rademacher_model(1.0), quad=GH63)
     assert [r.init_label for r in runs] == ["uninformative", "informative"]
     assert all(r.converged for r in runs)
     assert sum(r.iterations for r in runs) <= 200
     assert res.converged and res.q_star[0, 0] <= 1e-5   # sqrt(tol) at a critical point
+
+
+def test_solve_f_reports_best_converged_run_of_a_branch(monkeypatch):
+    # lambda = 1.05: both starts reach the same q* (the uninformative one after
+    # leaving the unstable q = 0), so their f values tie to rounding; the
+    # branch is reported by its run with the smaller residual
+    runs = _recording_se_iterate(monkeypatch)
+    res = solver.solve_f(rademacher_model(1.05), quad=GH63)
+    assert len(runs) == 2 and all(r.converged for r in runs)
+    assert psdlinalg.frobenius(runs[0].q_star - runs[1].q_star) <= solver.DEGENERACY_Q_TOL
+    best = min(runs, key=lambda r: r.residual)
+    assert (res.init_label, res.iterations, res.residual) == (
+        best.init_label, best.iterations, best.residual)
 
 
 def test_solve_f_cone_interval(rng, fast_settings):
@@ -290,6 +308,24 @@ def test_infsup_rademacher_grid_oracle(fast_settings):
     grid_value = inner_max.min()
     assert abs(grid_value - res_is.f_value) < 5e-5   # grid resolution limited
     npt.assert_allclose(res_is.f_value, res_f.f_value, atol=1e-9)
+
+
+def test_infsup_reports_the_winning_branch(rng, monkeypatch):
+    # at r = r*(q*) the inner sup is attained at q* itself, so the inf-sup
+    # result is a branch: its SE iterations and residual, solve_f's q* and r*,
+    # and the three-term potential there as its value
+    m = ModelSpec(2, (np.diag([1.5, 1.2]),), 0.2 * np.eye(2), random_discrete_prior(rng, 2))
+    assert check_hypothesis(m).holds
+    res_f = solver.solve_f(m, quad=GH63)
+    runs = _recording_se_iterate(monkeypatch)
+    res = solver.solve_infsup(m, quad=GH63)
+    won = [r for r in runs if r.iterations == res.iterations and r.residual == res.residual]
+    assert won and res.init_label == f"infsup:{won[0].init_label}"
+    assert res.iterations > 1 and res.residual > 0.0
+    npt.assert_array_equal(res.q_star, res_f.q_star)
+    npt.assert_array_equal(res.r_star, res_f.r_star)
+    assert res.f_value == potential(m, res.r_star, res.q_star, GH63, check_interval=False).value
+    assert abs(res.f_value - res_f.f_value) <= 1e-12
 
 
 def test_infsup_refuses_without_hypothesis():
