@@ -163,8 +163,15 @@ def _se_run(model, e0, settings, quad, origin):
 
 
 def _bracketed_roots(model, settings, quad):
-    """Sign-change bracketing of psi(E) = E - mmse(lam R(-E lam)) plus bisection."""
+    """Sign-change bracketing of psi(E) = E - mmse(lam R(-E lam)) on a grid.
+
+    Each bracket is refined by Illinois regula falsi: the root stays
+    bracketed, and the value at an end kept twice in a row is halved, so both
+    ends move.  The refinement stops at width 1e-15 max(1, rho) or at
+    |psi| <= 1e-15.
+    """
     rho = model.rho()
+    width = 1e-15 * max(1.0, rho)
     grid = np.linspace(0.0, rho, GAMMA_GRID_POINTS + 1)
     psi = np.array([e - _se_map(model, e, quad)[0] for e in grid])
     out = []
@@ -172,17 +179,22 @@ def _bracketed_roots(model, settings, quad):
         if psi[i] == 0.0:
             e = grid[i]
         elif psi[i] * psi[i + 1] < 0.0:
-            lo, hi, flo = grid[i], grid[i + 1], psi[i]
+            lo, hi, flo, fhi, kept = grid[i], grid[i + 1], psi[i], psi[i + 1], None
             for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = mid - _se_map(model, mid, quad)[0]
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-                if hi - lo <= 1e-15 * max(1.0, rho):
+                e = lo + (hi - lo) * flo / (flo - fhi)
+                fe = e - _se_map(model, e, quad)[0]
+                if abs(fe) <= 1e-15:
                     break
-            e = 0.5 * (lo + hi)
+                if flo * fe < 0.0:          # root in [lo, e]: lo is kept
+                    if kept == "lo":
+                        flo *= 0.5
+                    hi, fhi, kept = e, fe, "lo"
+                else:
+                    if kept == "hi":
+                        fhi *= 0.5
+                    lo, flo, kept = e, fe, "hi"
+                if hi - lo <= width:
+                    break
         else:
             continue
         _, r = _se_map(model, e, quad)

@@ -22,7 +22,9 @@ which the damped iteration escapes).  So every returned point carries a
 stability certificate, the spectral radius of the damped map's Jacobian by
 forward differences (unstable above 1 + 2 sqrt(tol), the error bound of that
 difference), and an unstable point is left along its unstable direction
-before the run goes on, within the same ``max_iters`` budget.  The
+before the run goes on, within the same ``max_iters`` budget.  Each step
+off it may double the distance travelled, so leaving takes O(log distance)
+map calls where damped steps take O(log distance / log radius).  The
 selection rule therefore compares the stable fixed points the damped
 iteration converges to; where several coexist, which one a start reaches can
 differ from the damped iteration's, and the test suite checks the selected
@@ -127,11 +129,21 @@ def fixed_point(step, x0, settings, project):
       (``x.size`` map calls, the last iteration's T(x) as base point).  The
       forward difference is off by O(h) and a base point within tol of the
       fixed point moves the quotient by O(tol / h), so a radius above
-      1 + h + tol / h marks an unstable point.  The run then nudges x along
-      the unstable eigenvector toward ``x0`` (by |x0 - x|, at least h), takes
-      damped steps until the residual starts to fall and resumes
-      acceleration; if acceleration comes back to a known unstable point
-      (within h), the run finishes with damped steps only.
+      1 + h + tol / h marks an unstable point.
+    * Escape: off an unstable point u the run nudges x along the unstable
+      eigenvector toward ``x0`` (by |x0 - x|, at least h), then takes escape
+      steps x <- project(x + max(beta, |x - u| / |F(x)|) F(x)), F = T - x:
+      the longer of the damped step and a step of length |x - u|, so the
+      distance from u grows geometrically, at most doubling per map call
+      unless the damped step is longer.  Escape ends
+      at the first iteration where the residual falls or F turns back
+      toward u (F . (x - u) <= 0); from there damped steps run until the
+      residual falls, then acceleration resumes.  An accelerated iterate
+      that lands closer to a known unstable point than half the current
+      iterate's distance to it is replaced by the damped step, with the
+      Anderson history cleared, so the secant cannot jump straight back.
+      If the run comes back to a known unstable point (within h) anyway,
+      it finishes with damped steps only, without escape steps.
     * Budget: ``iterations`` counts the map calls of the iteration and never
       exceeds ``settings.max_iters``; certificate calls are not counted.  At
       the cap the last evaluated iterate is returned with ``converged=False``
@@ -144,6 +156,7 @@ def fixed_point(step, x0, settings, project):
     xs, fs = [], []                     # accelerated history
     accelerate = may_accelerate = True
     best, since_best, ceiling, unstable = np.inf, 0, np.inf, []
+    escape = None                       # the unstable point being left
     for iterations in range(1, settings.max_iters + 1):
         g = step(x)
         last, f = (x, g), g - x
@@ -156,10 +169,13 @@ def fixed_point(step, x0, settings, project):
             if any(np.linalg.norm(x - u) <= h for u in unstable):
                 may_accelerate = False
             unstable.append(x)
+            escape = x if may_accelerate else None
             toward = start - x
             x = project(x + math.copysign(max(np.linalg.norm(toward), h), v @ toward) * v)
             accelerate, ceiling, prev = False, np.inf, residual
             continue
+        if escape is not None and (residual < prev or f @ (x - escape) <= 0.0):
+            escape = None
         if not accelerate:
             if may_accelerate and residual < min(prev, ceiling):
                 accelerate, best, since_best, xs, fs = True, residual, 0, [], []
@@ -170,6 +186,9 @@ def fixed_point(step, x0, settings, project):
             if since_best >= STALL_STEPS:
                 accelerate, ceiling = False, best
         prev = residual
+        if escape is not None:
+            x = project(x + max(beta, np.linalg.norm(x - escape) / residual) * f)
+            continue
         if not accelerate:
             x = x + beta * f
             continue
@@ -181,7 +200,10 @@ def fixed_point(step, x0, settings, project):
             dx, df = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
             gamma = np.linalg.lstsq(df, f, rcond=None)[0]
             x_next = x_next - (dx + beta * df) @ gamma
-        x = project(x_next)
+        x_next = project(x_next)
+        if any(np.linalg.norm(x_next - u) < 0.5 * np.linalg.norm(x - u) for u in unstable):
+            x_next, xs, fs = x + beta * f, [], []
+        x = x_next
     x, g = last
     return x, residual, iterations, False, _stability(step, x, g, beta, h)[0]
 

@@ -10,6 +10,7 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_VALUE = 0.2902288194345509        # ln(1 + r) - r^2/2 at the fixed point
 TWO_ATOM = rotinv.SpectralDistribution([1.0, 4.0], [0.5, 0.5])
 GH63 = gauss_hermite(63)
+FP_TOL = 1e-7      # fixed-point tolerance of tests/test_solver.py
 
 # 127-node oracle for the scalar Rademacher channel (independent of package code)
 _gx, _gw = np.polynomial.hermite.hermgauss(127)
@@ -198,6 +199,24 @@ def test_solve_rotinv_golden():
     npt.assert_allclose(sol.value, GOLDEN_VALUE, atol=1e-9)
     npt.assert_allclose(sol.e_star, GOLDEN, atol=1e-8)
     npt.assert_allclose(sol.r_star, GOLDEN, atol=1e-8)
+
+
+def test_solve_rotinv_bracket_refine_budget(monkeypatch):
+    # a 201-point grid and, per sign-change bracket, an Illinois regula falsi
+    # refine (bisection to 1e-15 took about 44 map calls per bracket)
+    calls = []
+    se_map = rotinv._se_map
+
+    def counting(*args):
+        calls.append(1)
+        return se_map(*args)
+
+    monkeypatch.setattr(rotinv, "_se_map", counting)
+    sol = rotinv.solve_rotinv(golden_model())
+    assert len(calls) <= 235
+    npt.assert_allclose(sol.value, GOLDEN_VALUE, atol=FP_TOL)
+    npt.assert_allclose(sol.e_star, GOLDEN, atol=FP_TOL)
+    npt.assert_allclose(sol.r_star, GOLDEN, atol=FP_TOL)
 
 
 def test_solve_rotinv_vanishing_snr():

@@ -138,8 +138,9 @@ def test_se_iterate_loop_runs_unchecked(monkeypatch):
 def test_se_iterate_leaves_unstable_zero(lam, q_damped):
     # q = 0 is a fixed point of the symmetric prior, unstable for lambda > 1
     # (damped-map radius (1 + lambda)/2); acceleration from the uninformative
-    # start lands on it within a few steps and must leave it for the damped
-    # iteration's fixed point (q_damped, recorded with damped state evolution)
+    # start lands on it within a few steps and must leave it, by escape steps
+    # that at most double the distance from it, for the damped iteration's
+    # fixed point (q_damped, recorded with damped state evolution)
     m = rademacher_model(lam)
     res = solver.se_iterate(m, solver.UNINFORMATIVE_SCALE * m.rho_bar(), quad=GH63)
     assert res.converged and res.stability_radius < 1.0
@@ -148,6 +149,44 @@ def test_se_iterate_leaves_unstable_zero(lam, q_damped):
     capped = solver.se_iterate(m, solver.UNINFORMATIVE_SCALE * m.rho_bar(),
                                solver.SolveSettings(max_iters=10), GH63)
     assert not capped.converged and capped.iterations == 10
+
+
+@pytest.mark.parametrize("lam", [1.01, 1.05, 1.1])
+def test_se_iterate_escape_budget_d1(lam):
+    # near lambda_c the radius of q = 0 is close to 1, so damped steps off it
+    # grow the offset slowly (464 / 177 / 112 iterations); escape steps that
+    # double the distance from q = 0 per map call leave it in a handful
+    m = rademacher_model(lam)
+    q0 = solver.UNINFORMATIVE_SCALE * m.rho_bar()
+    res = solver.se_iterate(m, q0, quad=GH63)
+    q_ref, ref_converged = se_reference.damped_se(m, q0, GH63)
+    assert ref_converged
+    assert res.converged and res.stability_radius < 1.0
+    npt.assert_allclose(res.q_star, q_ref, atol=FP_TOL)
+    assert res.iterations <= 30
+
+
+PRODUCT_PM1 = priors.discrete([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], [0.25] * 4)
+
+
+@pytest.mark.parametrize("lam1, lam2, c", [(1.5, 1.2, 0.0), (2.0, 1.05, 0.0),
+                                           (1.1, 0.8, 0.2), (3.0, 2.0, -0.4)])
+def test_se_iterate_escape_at_singular_boundary_d2(lam1, lam2, c):
+    # S = 0 and q = 0 at d = 2: S + r*(q) is singular there, and the
+    # certificate's off-diagonal differences see the map's clipping at zero.
+    # (2.0, 1.05, 0) passes through the saddle q = diag(0.618, 0), which the
+    # Anderson secant jumps back to after a fast escape unless the safeguard
+    # replaces that step by a damped one (756 iterations without it)
+    b = np.array([[np.sqrt(lam1 / 2.0), c], [c, np.sqrt(lam2 / 2.0)]])
+    m = ModelSpec(2, (b,), np.zeros((2, 2)), PRODUCT_PM1)
+    quad = gauss_hermite(31)
+    q0 = solver.UNINFORMATIVE_SCALE * m.rho_bar()
+    res = solver.se_iterate(m, q0, quad=quad)
+    q_ref, ref_converged = se_reference.damped_se(m, q0, quad)
+    assert ref_converged
+    assert res.converged and res.stability_radius < 1.0
+    npt.assert_allclose(res.q_star, q_ref, atol=FP_TOL)
+    assert res.iterations <= 60
 
 
 def sparse_model(lam):
@@ -404,6 +443,18 @@ def test_sweep_monotone_and_threshold(fast_settings):
             assert row.q_trace < 1e-4
         if lam >= 1.1:
             assert row.q_trace > 0.01
+
+
+def test_sweep_c2_work_count(monkeypatch):
+    # the C2 sweep: the runs that leave the unstable q = 0 made 1,466 of 2,090
+    # SE iterations with damped escape; iteration counts repeat exactly, so
+    # this guards the escape's saving without a wall-clock gate
+    runs = _recording_se_iterate(monkeypatch)
+    lams = np.round(np.arange(0.5, 2.0001, 0.05), 10)
+    rows = solver.sweep(rademacher_model(2.0), solver.SweepPath("coupling", 0),
+                        np.sqrt(lams / 2.0), quad=GH63)
+    assert len(rows) == 31 and all(row.converged for row in rows)
+    assert sum(r.iterations for r in runs) <= 1300
 
 
 def test_sweep_s_entry():
