@@ -19,10 +19,11 @@ mutual information alone (``moments=False``), and ``_mmse_core`` (each
 state-evolution step) for the posterior moments.
 
 Validation policy: :func:`mutual_information` and :func:`mmse_matrix` check
-``s`` and ``r`` (symmetric PSD, d x d) and pass A = (S + r)^{1/2} to the
-private cores ``_mi_core`` / ``_mmse_core``, which check nothing.  Callers
-that build A from checked inputs (the state-evolution loop, the potential,
-the rotationally invariant module) call the cores directly.
+``s`` and ``r`` (symmetric PSD, d x d) and pass S + r to the private cores
+``_mi_core`` / ``_mmse_core``, which check nothing and take the root
+A = (S + r)^{1/2} themselves; the state-evolution loop, the potential and
+the rotationally invariant module call the cores directly.  ``quad=None``
+is ``default_scheme`` at the prior's dimension, read where nodes are built.
 """
 
 import numpy as np
@@ -38,7 +39,7 @@ def _channel_matrix(prior, s, r):
     r = psdlinalg.check_psd(r, name="snr matrix r")
     if s.shape != (d, d) or r.shape != (d, d):
         raise ValueError("s and r must be d x d for the prior dimension d")
-    return psdlinalg.sqrtm_psd(s + r)
+    return s + r
 
 
 def _discrete_moments(prior, a, quad, moments):
@@ -55,8 +56,9 @@ def _discrete_moments(prior, a, quad, moments):
     return _kernels.channel_discrete_moments(logw, c, D, atoms, nodes, node_w, moments=moments)
 
 
-def _mi_core(prior, a, quad):
-    """I(X; A X + W) for a trusted channel matrix ``a`` (symmetric PSD, d x d)."""
+def _mi_core(prior, snr, quad):
+    """I(X; (S + r)^{1/2} X + W) for a trusted ``snr`` = S + r (symmetric PSD, d x d)."""
+    a = psdlinalg.sqrtm_psd(snr)
     if prior.kind == GAUSSIAN:
         M = np.eye(prior.dim) + a @ prior.cov @ a
         sign, logdet = np.linalg.slogdet(M)
@@ -69,8 +71,9 @@ def _mi_core(prior, a, quad):
     return float(mi)
 
 
-def _mmse_core(prior, a, quad):
-    """E[cov(X | A X + W)] for a trusted channel matrix ``a`` (symmetric PSD, d x d)."""
+def _mmse_core(prior, snr, quad):
+    """E[cov(X | (S + r)^{1/2} X + W)] for a trusted ``snr`` = S + r (symmetric PSD, d x d)."""
+    a = psdlinalg.sqrtm_psd(snr)
     if prior.kind == GAUSSIAN:
         Sig = prior.cov
         M = np.eye(prior.dim) + a @ Sig @ a

@@ -12,12 +12,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import oracle, priors, rotinv, solver
 from .potential import ModelSpec, check_hypothesis, potential
-from .quadrature import MAX_NODES, default_scheme, gauss_hermite, monte_carlo
+from .quadrature import MAX_NODES, MONTE_CARLO, default_scheme, gauss_hermite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -204,11 +205,10 @@ def parse_rotinv_model(text):
 def _quad_for(args, dim):
     if args.quad_nodes is not None:
         quad = gauss_hermite(args.quad_nodes)
-    elif dim >= 4:
-        samples = 1_000_000 if args.mc_samples is None else args.mc_samples
-        quad = monte_carlo(samples, seed=args.seed)
     else:
         quad = default_scheme(dim, seed=args.seed)
+        if quad.kind == MONTE_CARLO and args.mc_samples is not None:
+            quad = replace(quad, sample_count=args.mc_samples)
     count = quad.node_count(dim)
     if count > MAX_NODES:
         raise ConfigError(f"quadrature too large: {quad.kind} with {count} nodes at d = {dim} "
@@ -307,7 +307,10 @@ def _parse_grid(text):
         if count < 1:
             raise ConfigError("--grid range is empty")
         return [start + i * step for i in range(count)]
-    return [float(v) for v in text.split(",") if v.strip()]
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values or not all(map(math.isfinite, values)):
+        raise ConfigError("--grid list form v1,v2,... needs one or more finite values")
+    return values
 
 
 def _cmd_sweep(args):
@@ -346,8 +349,7 @@ def _cmd_oracle(args):
 
 def _cmd_rotinv_solve(args):
     model = _load_model(args, parse_rotinv_model)
-    quad = gauss_hermite(63 if args.quad_nodes is None else args.quad_nodes)
-    sol = rotinv.solve_rotinv(model, _settings(args), quad)
+    sol = rotinv.solve_rotinv(model, _settings(args), _quad_for(args, 1))
     doc = {
         "value": sol.value,
         "e_star": sol.e_star,
@@ -396,9 +398,9 @@ def build_parser():
         p.add_argument("--model", help="model JSON file")
         p.add_argument("--out", help="output artifact path (default: stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--damping", type=float, default=0.5)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--max-iters", type=int, default=10_000)
+        p.add_argument("--damping", type=float, default=solver.SolveSettings.damping)
+        p.add_argument("--tol", type=float, default=solver.SolveSettings.tol)
+        p.add_argument("--max-iters", type=int, default=solver.SolveSettings.max_iters)
         p.add_argument("--quad-nodes", type=int,
                        help="Gauss-Hermite nodes per dimension (default: by policy)")
         p.add_argument("--mc-samples", type=int,

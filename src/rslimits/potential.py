@@ -25,7 +25,6 @@ import numpy as np
 from . import psdlinalg
 from .channel import _mi_core
 from .priors import Prior
-from .quadrature import default_scheme
 
 HYPOTHESIS_TOL = 1e-9
 
@@ -54,6 +53,8 @@ class ModelSpec:
             bs.append(b)
         object.__setattr__(self, "couplings", tuple(bs))
         s = psdlinalg.check_psd(self.s, name="side channel s")
+        if s.shape != (self.d, self.d):
+            raise ValueError(f"side channel s must be d x d = {self.d}x{self.d}, got {s.shape}")
         s.setflags(write=False)
         object.__setattr__(self, "s", s)
 
@@ -106,19 +107,19 @@ def r_star(model, q):
 def potential(model, r, q, quad=None, check_interval=True):
     """Evaluate I(r, q); returns the three-term decomposition.
 
-    q outside the Loewner interval [0, rho_bar] is accepted (line searches
-    need it) but flagged with a warning.
+    q outside the Loewner interval [0, rho_bar] is accepted (the
+    ``potential`` subcommand evaluates any symmetric q a user passes) but
+    flagged with a warning.
     """
     r = psdlinalg.check_psd(r, name="r")
     q = psdlinalg.check_symmetric(q, name="q")
     if r.shape != (model.d, model.d) or q.shape != (model.d, model.d):
         raise ValueError(f"r and q must be {model.d}x{model.d}")
-    quad = quad or default_scheme(model.d)
     rho = model.rho_bar()
     if check_interval and not (psdlinalg.is_psd(q, tol=1e-7)
                                and psdlinalg.loewner_leq(q, rho, tol=1e-7)):
         warnings.warn("q lies outside the interval [0, rho_bar]", RuntimeWarning)
-    channel_term = _mi_core(model.prior, psdlinalg.sqrtm_psd(model.s + r), quad)
+    channel_term = _mi_core(model.prior, model.s + r, quad)
     linear_term = 0.5 * _trace_prod(r, q - rho)
     quartic = 0.0
     for b in model.couplings:
@@ -137,10 +138,8 @@ def potential_at_stationary_q(model, q, quad=None):
     channel core runs unchecked.
     """
     q = psdlinalg.check_symmetric(q, name="q")
-    quad = quad or default_scheme(model.d)
-    rho = model.rho_bar()
-    gap = rho - q
-    value = _mi_core(model.prior, psdlinalg.sqrtm_psd(model.s + r_star(model, q)), quad)
+    gap = model.rho_bar() - q
+    value = _mi_core(model.prior, model.s + r_star(model, q), quad)
     for b in model.couplings:
         value += 0.5 * _trace_prod(b.T @ gap @ b, gap)
     return float(value)

@@ -25,18 +25,17 @@ inf-sup value is the smallest potential value over Gamma (a dense-grid
 cross-check of this selection is part of the test suite).
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import _mi_core, _mmse_core
-from .quadrature import gauss_hermite
-from .solver import SolveSettings, fixed_point
+from .solver import UNINFORMATIVE_SCALE, fixed_point
 
 GAMMA_GRID_POINTS = 200   # coarse bracketing captures up to ~3 fixed points
 MAX_GAUSSIAN_FACTORS = 5  # conditioning of longer products is not validated
+_DESK_SCALE = 2000        # largest n and m = round(alpha n) of an empirical spectrum
 
 
 @dataclass(frozen=True)
@@ -108,15 +107,6 @@ def integrated_r(model, a):
     return float(model.alpha * np.sum(t.weights * np.log1p(a * t.atoms)))
 
 
-# scalar channel sqrt(r) X + Z, A = [[sqrt(r)]]: r >= 0 by construction, checked in i_rs
-def _scalar_mi(model, r, quad):
-    return _mi_core(model.prior, np.array([[math.sqrt(r)]]), quad)
-
-
-def _scalar_mmse(model, r, quad):
-    return float(_mmse_core(model.prior, np.array([[math.sqrt(r)]]), quad)[0, 0])
-
-
 def i_rs(model, e, r, quad=None):
     """Replica-symmetric potential i_RS(E, r) in nats per signal entry."""
     rho = model.rho()
@@ -124,9 +114,9 @@ def i_rs(model, e, r, quad=None):
         raise ValueError(f"E = {e} outside [0, rho = {rho}]")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    quad = quad or gauss_hermite(63)
     e = min(max(e, 0.0), rho)
-    return _scalar_mi(model, r, quad) + 0.5 * integrated_r(model, e * model.lam) - 0.5 * r * e
+    mi = _mi_core(model.prior, np.array([[r]]), quad)
+    return mi + 0.5 * integrated_r(model, e * model.lam) - 0.5 * r * e
 
 
 @dataclass(frozen=True)
@@ -139,14 +129,9 @@ class ScalarFixedPoint:
 
 
 def _se_map(model, e, quad):
+    """(mmse(X | sqrt(r) X + Z), r) at r = lam R(-E lam); r >= 0 by construction."""
     r = model.lam * r_transform(model, e * model.lam)
-    return _scalar_mmse(model, r, quad), r
-
-
-def _se_residual(model, e, r, quad):
-    e_new = _scalar_mmse(model, r, quad)
-    r_new = model.lam * r_transform(model, e * model.lam)
-    return max(abs(e_new - e), abs(r_new - r))
+    return float(_mmse_core(model.prior, np.array([[r]]), quad)[0, 0]), r
 
 
 def _se_run(model, e0, settings, quad, origin):
@@ -156,13 +141,10 @@ def _se_run(model, e0, settings, quad, origin):
         lambda x: np.array([_se_map(model, x[0], quad)[0]]), [e0], settings,
         lambda x: np.clip(x, 0.0, rho))
     e = float(e[0])
-    _, r = _se_map(model, e, quad)
-    if converged:
-        residual = _se_residual(model, e, r, quad)
-    return ScalarFixedPoint(e, r, residual, converged, origin)
+    return ScalarFixedPoint(e, _se_map(model, e, quad)[1], residual, converged, origin)
 
 
-def _bracketed_roots(model, settings, quad):
+def _bracketed_roots(model, quad):
     """Sign-change bracketing of psi(E) = E - mmse(lam R(-E lam)) on a grid.
 
     Each bracket is refined by Illinois regula falsi: the root stays
@@ -197,32 +179,32 @@ def _bracketed_roots(model, settings, quad):
                     break
         else:
             continue
-        _, r = _se_map(model, e, quad)
-        out.append(ScalarFixedPoint(e, r, _se_residual(model, e, r, quad), True, "grid"))
+        m, r = _se_map(model, e, quad)
+        out.append(ScalarFixedPoint(e, r, abs(m - e), True, "grid"))
     return out
 
 
 def state_evolution(model, settings=None, quad=None):
-    """The fixed-point set Gamma: two accelerated starts plus grid bracketing.
+    """The fixed-point set Gamma: grid bracketing plus two accelerated starts.
 
     Every returned pair satisfies both state-evolution equations within the
-    solver tolerance; non-convergent starts are flagged, not raised.
+    solver tolerance; non-convergent starts are flagged, not raised.  Of the
+    points within 1e-7 max(1, rho) in E the first is kept, grid roots (width
+    1e-15) before the informative and uninformative starts; sorted by E.
     """
-    settings = settings or SolveSettings(tol=1e-12)
-    quad = quad or gauss_hermite(63)
     rho = model.rho()
-    points = [_se_run(model, rho, settings, quad, "informative"),
-              _se_run(model, 1e-3 * rho, settings, quad, "uninformative")]
-    points.extend(_bracketed_roots(model, settings, quad))
+    points = [*_bracketed_roots(model, quad),
+              _se_run(model, rho, settings, quad, "informative"),
+              _se_run(model, UNINFORMATIVE_SCALE * rho, settings, quad, "uninformative")]
     unique = []
-    for p in sorted(points, key=lambda p: p.e):
+    for p in points:
         if not p.converged:
             warnings.warn(f"state-evolution start {p.origin!r} did not converge",
                           RuntimeWarning)
             continue
         if all(abs(p.e - u.e) > 1e-7 * max(1.0, rho) for u in unique):
             unique.append(p)
-    return tuple(unique)
+    return tuple(sorted(unique, key=lambda p: p.e))
 
 
 @dataclass(frozen=True)
@@ -241,8 +223,6 @@ def solve_rotinv(model, settings=None, quad=None):
     The boundary sections E in {0, rho} are evaluated explicitly in case an
     extremizer is not interior.
     """
-    settings = settings or SolveSettings(tol=1e-12)
-    quad = quad or gauss_hermite(63)
     gamma = state_evolution(model, settings, quad)
     if not gamma:
         raise RuntimeError("empty fixed-point set; state evolution failed to converge")
@@ -269,9 +249,13 @@ def empirical_spectrum(num_factors, n, alpha, seed=0):
     """
     if num_factors < 0 or num_factors > MAX_GAUSSIAN_FACTORS:
         raise ValueError(f"number of Gaussian factors must be in [0, {MAX_GAUSSIAN_FACTORS}]")
-    if n < 1 or n > 2000:
-        raise ValueError("n must be in [1, 2000] (desk scale)")
+    if n < 1 or n > _DESK_SCALE:
+        raise ValueError(f"n must be in [1, {_DESK_SCALE}] (desk scale)")
+    if not 0.0 < alpha <= _DESK_SCALE:      # n >= 1: a larger alpha makes m too large
+        raise ValueError(f"alpha must be in (0, {_DESK_SCALE}], got {alpha}")
     m = max(1, int(round(alpha * n)))
+    if m > _DESK_SCALE:
+        raise ValueError(f"m = round(alpha n) = {m} exceeds {_DESK_SCALE} (desk scale)")
     if num_factors == 0:
         return SpectralDistribution(np.ones(m), np.full(m, 1.0 / m))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))

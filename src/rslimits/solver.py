@@ -34,6 +34,8 @@ Every selection reads one list of branches (:func:`_branches`): the runs
 from all inits, merged where their q* agree within ``DEGENERACY_Q_TOL``.
 ``solve_f`` takes the least f, ``predict_mmse`` its best branch and the
 branches that tie with it in value, ``sweep`` goes through ``solve_f``.
+``settings=None`` means ``SolveSettings()``, read in :func:`fixed_point`;
+``quad=None`` means the channel's default quadrature.
 
 The inf-sup route takes the candidate r from the image of r* over the
 branches.  At r = r*(q*) the inner objective q -> I(r, q) is concave under
@@ -53,7 +55,6 @@ import numpy as np
 from . import psdlinalg
 from .channel import _mmse_core, mmse_matrix
 from .potential import check_hypothesis, potential, potential_at_stationary_q, r_star
-from .quadrature import default_scheme
 
 UNINFORMATIVE_SCALE = 1e-3   # strict zero can be a symmetry-pinned fixed point
 DEGENERACY_VALUE_TOL = 1e-6
@@ -149,6 +150,7 @@ def fixed_point(step, x0, settings, project):
       the cap the last evaluated iterate is returned with ``converged=False``
       (or, if the last call found an unstable point, that point).
     """
+    settings = settings or SolveSettings()
     beta, tol = settings.damping, settings.tol
     h = math.sqrt(tol)
     margin = h + tol / h
@@ -222,8 +224,6 @@ def se_iterate(model, q0, settings=None, quad=None, init_label="custom"):
     evaluated iterate, not an exception.  ``q0`` is checked once, by its
     projection onto the PSD cone; the loop validates nothing.
     """
-    settings = settings or SolveSettings()
-    quad = quad or default_scheme(model.d)
     rho = model.rho_bar()
     scale = psdlinalg.vech(np.sqrt(2.0) - (np.sqrt(2.0) - 1.0) * np.eye(model.d))
 
@@ -231,8 +231,8 @@ def se_iterate(model, q0, settings=None, quad=None, init_label="custom"):
         return psdlinalg.unvech(x / scale)
 
     def step(x):
-        a = psdlinalg.sqrtm_psd(model.s + r_star(model, to_q(x)))
-        return scale * psdlinalg.vech(psdlinalg.project_psd(rho - _mmse_core(model.prior, a, quad)))
+        m = _mmse_core(model.prior, model.s + r_star(model, to_q(x)), quad)
+        return scale * psdlinalg.vech(psdlinalg.project_psd(rho - m))
 
     def project(x):
         return scale * psdlinalg.vech(psdlinalg.project_psd(to_q(x)))
@@ -279,8 +279,6 @@ def solve_f(model, settings=None, quad=None, extra_inits=()):
     ``iterations`` are those of the run with the smallest residual (see
     :func:`_branches`); ``converged`` is False only if no run converged.
     """
-    settings = settings or SolveSettings()
-    quad = quad or default_scheme(model.d)
     return min(_branches(model, settings, quad, extra_inits), key=lambda b: b.f_value)
 
 
@@ -294,8 +292,6 @@ def solve_infsup(model, settings=None, quad=None):
     ``iterations``, ``residual`` and ``converged``, labelled
     ``infsup:<init>``.  Without the hypothesis this routine refuses.
     """
-    settings = settings or SolveSettings()
-    quad = quad or default_scheme(model.d)
     report = check_hypothesis(model)
     if not report.holds:
         raise ValueError(
@@ -359,8 +355,6 @@ def predict_mmse(model, settings=None, quad=None, allow_singular=False):
     a near-tie between fixed points is flagged as ``degenerate`` and the
     per-branch MMSE matrices are reported as subdifferential bounds.
     """
-    settings = settings or SolveSettings()
-    quad = quad or default_scheme(model.d)
     min_eig = float(np.linalg.eigvalsh(model.s).min())
     if min_eig <= 0.0:
         if not allow_singular:
@@ -455,8 +449,6 @@ def sweep(model, path, grid, settings=None, quad=None):
     before any point is solved.
     """
     path.check(model)
-    settings = settings or SolveSettings()
-    quad = quad or default_scheme(model.d)
     rows = []
     warm_q = None
     for value in grid:

@@ -17,8 +17,8 @@ def damped_se(model, q0, quad, beta=0.5, tol=1e-10, max_iters=10_000):
     rho = model.rho_bar()
     q = psdlinalg.project_psd(q0)
     for _ in range(max_iters):
-        a = psdlinalg.sqrtm_psd(model.s + r_star(model, q))
-        target = psdlinalg.project_psd(rho - _mmse_core(model.prior, a, quad))
+        m = _mmse_core(model.prior, model.s + r_star(model, q), quad)
+        target = psdlinalg.project_psd(rho - m)
         if psdlinalg.frobenius(target - q) <= tol:
             return q, True
         q = (1.0 - beta) * q + beta * target

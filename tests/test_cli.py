@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rslimits import _kernels, cli, oracle, priors
+from rslimits import _kernels, cli, oracle, priors, rotinv
 from rslimits.potential import ModelSpec
 from rslimits.quadrature import MAX_NODES
 
@@ -233,7 +233,8 @@ def test_exit_code_input_error(rademacher_file, tmp_path, capsys):
     assert cli.run(["solve", "--model", str(tmp_path / "missing.json")]) == cli.EXIT_INPUT
     for path, grid in [("coupling:0", "0:1:0"), ("coupling:0", "0:inf:1"),
                        ("s:3,3", "0,1"), ("coupling:5", "0,1"),
-                       ("coupling:0", "0:1:1e-320"), ("coupling:0", "0:1e6:1")]:
+                       ("coupling:0", "0:1:1e-320"), ("coupling:0", "0:1e6:1"),
+                       ("coupling:0", "1,nan"), ("coupling:0", "1,inf"), ("coupling:0", ",")]:
         assert cli.run(["sweep", "--model", rademacher_file, "--path", path,
                         "--grid", grid]) == cli.EXIT_INPUT
     for flag, value in (("--max-iters", "0"), ("--tol", "inf")):
@@ -282,6 +283,42 @@ def test_exit_code_input_error(rademacher_file, tmp_path, capsys):
     capsys.readouterr()
     assert cli.run(["solve", "--model", rademacher_file, "--quad-nodes", "400"]) == cli.EXIT_INPUT
     assert "nodes_per_dim <= 300, got 400" in capsys.readouterr().err
+
+
+def test_rotinv_solve_artifact_matches_library_defaults(tmp_path):
+    tau3 = ('{"alpha": 1.0, "lambda": 1.0, '
+            '"prior": {"discrete": {"atoms": [[1.0], [-1.0]], "weights": [0.5, 0.5]}}, '
+            '"tau": {"atoms": [0.2, 1.0, 3.0], "weights": [0.3, 0.4, 0.3]}}')
+    for text in (ROTINV_DOC, tau3):
+        model = tmp_path / "rot.json"
+        model.write_text(text)
+        out = tmp_path / "rot_out.json"
+        assert cli.run(["rotinv-solve", "--model", str(model), "--out", str(out)]) == 0
+        sol = rotinv.solve_rotinv(cli.parse_rotinv_model(text))
+        # 17 significant digits round-trip, so the comparison is exact
+        assert json.loads(out.read_text()) == {
+            "value": sol.value, "e_star": sol.e_star, "r_star": sol.r_star,
+            "fixed_points": [{"e": p.e, "r": p.r, "residual": p.residual,
+                              "converged": p.converged, "origin": p.origin}
+                             for p in sol.fixed_points]}
+
+
+def test_rotinv_spectrum_refuses_alpha_before_allocating(capsys):
+    # alpha = 10 at n = 2000 would build 20000 x 20000 factors (3.2 GB each)
+    for alpha, n, message in (("-1", "100", "alpha must be in (0, 2000], got -1.0"),
+                              ("inf", "100", "alpha must be in (0, 2000], got inf"),
+                              ("nan", "100", "alpha must be in (0, 2000], got nan"),
+                              ("10", "2000", "m = round(alpha n) = 20000 exceeds 2000")):
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert cli.run(["rotinv-spectrum", "--factors", "1", "--n", n,
+                            "--alpha", alpha]) == cli.EXIT_INPUT
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert message in capsys.readouterr().err
+        assert peak < 1_000_000
 
 
 def test_exit_code_nonconvergence(rademacher_file, tmp_path):

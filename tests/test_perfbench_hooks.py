@@ -1,11 +1,13 @@
-"""Contract between the package and the benchmark's tracer (perfbench/tracer.py).
+"""Contract between the package and the benchmark (perfbench/).
 
-The traced benchmark run wraps package functions by name.  A rename or a
-deletion in ``rslimits`` would otherwise only surface when that run fails, so
-these tests read the tracer's tables and check them against the package.
-Nothing under perfbench/ is modified.
+The traced benchmark run wraps package functions by name, and the benchmark
+scripts call the CLI and the quadrature directly.  A rename or a deletion in
+``rslimits`` would otherwise only surface when a benchmark run fails, so
+these tests read the tracer's tables and the scripts' source and check them
+against the package.  Nothing under perfbench/ is modified.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -17,6 +19,13 @@ import pytest
 from rslimits import cli
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+SCRIPTS = ("run.py", "probe.py", "selftest.py")
+# what the scripts are known to use; a scan that misses one of these is broken
+KNOWN_USES = {"_kernels.get_backend", "cli.run", "cli.parse_model", "cli.parse_rotinv_model",
+              "cli.to_json_text", "quadrature.gauss_hermite", "quadrature.monte_carlo",
+              "quadrature.QuadratureScheme.nodes_weights"}
+# arguments for building a returned object whose method a script calls
+SAMPLE_ARGS = {"quadrature.gauss_hermite": (3,), "quadrature.monte_carlo": (3,)}
 
 RADEMACHER_DOC = """
 {"d": 1, "couplings": [[[1.0]]], "s": [[0.2]],
@@ -76,3 +85,59 @@ def test_install_uninstall_restores_every_binding(tracer, tmp_path):
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert not changed
+
+
+def _script_calls(tree):
+    """(owner, attr, call) for each attribute of an imported rslimits module.
+
+    owner is "module" for ``module.attr`` or ``obj.module.attr`` (the runner
+    holds the cli module as ``self.cli``) and "module.func()" for a method of
+    what ``module.func(...)`` returned; call is the ast.Call or None.
+    """
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "rslimits"
+               for alias in node.names}
+
+    def module_attr(node):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            ident = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if ident in modules:
+                return ident, node.attr
+        return None
+
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    out = []
+    for node in ast.walk(tree):
+        if module_attr(node):
+            out.append((*module_attr(node), calls.get(id(node))))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Call)
+              and module_attr(node.value.func)):
+            out.append(("{}.{}()".format(*module_attr(node.value.func)), node.attr,
+                        calls.get(id(node))))
+    return out
+
+
+def test_benchmark_scripts_use_existing_names():
+    seen = set()
+    for script in SCRIPTS:
+        tree = ast.parse((TRACER_PATH.parent / script).read_text(encoding="utf-8"))
+        for owner, attr, call in _script_calls(tree):
+            if owner.endswith("()"):
+                func = owner[:-2]
+                assert func in SAMPLE_ARGS, f"{script}: no sample arguments for {func}"
+                mod, name = func.split(".")
+                obj = getattr(importlib.import_module(f"rslimits.{mod}"), name)(*SAMPLE_ARGS[func])
+                label = f"{mod}.{type(obj).__name__}.{attr}"
+            else:
+                obj, label = importlib.import_module(f"rslimits.{owner}"), f"{owner}.{attr}"
+            target = getattr(obj, attr, None)
+            assert callable(target), f"{script}: {label}"
+            if (call is not None and not any(isinstance(a, ast.Starred) for a in call.args)
+                    and all(k.arg for k in call.keywords)):
+                try:        # arity and keyword names, e.g. monte_carlo(..., seed=...)
+                    inspect.signature(target).bind(*call.args, **{k.arg: 0 for k in call.keywords})
+                except TypeError as exc:
+                    pytest.fail(f"{script}: {label}: {exc}")
+            seen.add(label)
+    assert KNOWN_USES <= seen, KNOWN_USES - seen

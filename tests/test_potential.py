@@ -56,6 +56,13 @@ def test_r_star_dimension_mismatch(rng):
         r_star(m, np.eye(3))
 
 
+def test_model_rejects_side_channel_of_wrong_size():
+    # a 1x1 S would broadcast over the 2x2 S + r*(q) of every channel call
+    prior = priors.discrete([[1.0, 1.0], [-1.0, -1.0]], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"side channel s must be d x d = 2x2, got \(1, 1\)"):
+        ModelSpec(2, (np.eye(2),), [[0.5]], prior)
+
+
 def test_r_star_preserves_cone(rng):
     # every summand is a congruence, so PSD in -> PSD out for any couplings
     for _ in range(20):

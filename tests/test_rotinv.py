@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from rslimits import priors, rotinv
+from rslimits import priors, rotinv, solver
 from rslimits.quadrature import gauss_hermite
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -127,6 +127,16 @@ def test_state_evolution_golden():
     npt.assert_allclose(pts[0].e, GOLDEN, atol=1e-9)
     npt.assert_allclose(pts[0].r, GOLDEN, atol=1e-9)
     assert pts[0].residual < 1e-9
+
+
+def test_state_evolution_origin_does_not_depend_on_tol():
+    # a start that reaches a grid root's fixed point is merged into the grid
+    # root (refined to width 1e-15), so neither the point nor its label
+    # follows the tolerance the starts ran at
+    m = golden_model()
+    tight = rotinv.state_evolution(m, solver.SolveSettings(tol=1e-12))
+    assert tight == rotinv.state_evolution(m)
+    assert [p.origin for p in tight] == ["grid"]
 
 
 def test_state_evolution_vanishing_snr():
