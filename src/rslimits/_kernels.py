@@ -8,12 +8,12 @@ Kernels
   logits: one GEMM, one ``exp``; ``moments=False`` stops after log Z.
 * ``config_quadratic_terms``: data-dependent part of the log posterior
   weight of every enumerated signal configuration, for a chunk of data
-  replicas at once: one GEMM of the configurations' signal matrix against
-  the replicas' stacked quadratic coefficients.
+  replicas at once: head-only and tail-only terms plus one batched bilinear
+  GEMM between the two halves of the rows (meet in the middle).
 * ``config_row_marginals``: posterior single-row marginals accumulated over
   enumerated configurations.  The oracle no longer calls it (it takes its
-  posterior row means as P^T p); it stays because perfbench's traced run
-  wraps it by name.
+  posterior row means from the head and tail marginals of p); it stays
+  because perfbench's traced run wraps it by name.
 * ``logsumexp``: max-shifted log-sum-exp along an axis, the oracle's
   normalization (numpy only, so the package needs no scipy at run time).
 
@@ -94,23 +94,25 @@ def channel_discrete_moments(logw, c, D, atoms, nodes, node_w, *, moments=True):
 # exact posterior enumeration for finite instances
 # ---------------------------------------------------------------------------
 
-def config_quadratic_terms(C, P, L, Q):
+def config_quadratic_terms(C, head, tail, L, Q):
     """Data-dependent log weight of every configuration, for B replicas at once.
 
-    C (M, n) atom indices of the configurations; P (M, n d) their signal
-    rows atoms[C], flattened row-major; L (n d, B) linear and Q (B, n d, n d)
-    quadratic coefficients, one column / matrix per replica.
-    Returns (M, B) with out[m, b] = P[m] . L[:, b] + P[m] . Q[b] . P[m].
-    The quadratic forms are one (M, n d) x (n d, B n d) GEMM; its (M, B n d)
-    result is the largest array, so B is the caller's memory bound.  Only
-    P is read: C names the configurations and gives the call's (M, n).
+    C (M, n) atom indices; configuration m = a M_b + b has the signal rows
+    x_m = (head[a], tail[b]), head (M_a, n_a d) and tail (M_b, n_b d) being
+    its first n_a and last n_b rows flattened row-major (n_b = 0: a (1, 0)
+    tail).  L (B, n d) and Q (B, n d, n d): coefficients, one per replica.
+    Returns (B, M), out[b, m] = x_m . L[b] + x_m . Q[b] . x_m: head-only and
+    tail-only terms once per head or tail, and the cross term
+    head[a] . (Q_ab + Q_ba^T) . tail[b] as one batched GEMM, about M n_b d
+    multiply-adds per replica.  The (B, M) result is the largest array; C only
+    names the configurations, giving the call's (M, n).
     """
-    M, nd = P.shape
-    B = Q.shape[0]
-    PQ = (P @ Q.transpose(1, 0, 2).reshape(nd, B * nd)).reshape(M, B, nd)
-    out = P @ L
-    out += np.einsum("mbj,mj->mb", PQ, P)
-    return out
+    ja = head.shape[1]
+    qab = Q[:, :ja, ja:] + Q[:, ja:, :ja].transpose(0, 2, 1)
+    out = (head @ qab) @ tail.T                                   # (B, M_a, M_b)
+    out += (((head @ Q[:, :ja, :ja]) * head).sum(axis=2) + L[:, :ja] @ head.T)[:, :, None]
+    out += (((tail @ Q[:, ja:, ja:]) * tail).sum(axis=2) + L[:, ja:] @ tail.T)[:, None, :]
+    return out.reshape(len(Q), -1)
 
 
 def config_row_marginals(C, p, K):

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 input error, 2 numerical non-convergence.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -183,10 +184,9 @@ def parse_rotinv_model(text):
         raise ConfigError(f"invalid JSON: {exc}") from None
     alpha = _need(doc, "alpha", "")
     lam = _need(doc, "lambda", "")
-    if not isinstance(alpha, (int, float)) or alpha <= 0:
-        raise ConfigError("field 'alpha' must be a positive number")
-    if not isinstance(lam, (int, float)) or lam <= 0:
-        raise ConfigError("field 'lambda' must be a positive number")
+    for key, value in (("alpha", alpha), ("lambda", lam)):
+        if not isinstance(value, (int, float)) or not 0 < value < math.inf:
+            raise ConfigError(f"field '{key}' must be a finite positive number")
     prior = _parse_prior(_need(doc, "prior", ""), "prior")
     tau_doc = _need(doc, "tau", "")
     atoms = _as_float_array(_need(tau_doc, "atoms", "tau"), "tau.atoms")
@@ -423,6 +423,9 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)   # built once per process; parsing leaves it as is
+
+
 def _write(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -432,7 +435,7 @@ def _write(text, out_path):
 
 
 def run(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     needs_model = args.command not in ("rotinv-spectrum",)
     if needs_model and not args.model:
         print("error: --model is required", file=sys.stderr)

@@ -20,13 +20,15 @@ With A = S^{1/2}, the log weight of a configuration with signal X (n, d) is
 
 linear plus quadratic in X given the data; base(X) depends on X only, through
 its Gram matrix X^T X.  Once per request the M = atom_count**n configurations
-are enumerated with their signal matrix P (M, n d) and their data-free log
-weights.  A chunk of B replicas then costs one (M, n d) x (n d, B n d) GEMM
-for the quadratic forms, a log-sum-exp over the M axis, and P^T p for the
-posterior row means.  ``CHUNK_DOUBLES`` bounds the GEMM's (M, B n d) result,
-the chunk's largest array.  The budget on M is what keeps enumeration
-affordable.  Rows are the i.i.d. unit, so enumeration runs over rows, not
-entries.
+are enumerated with their data-free log weights.  Configuration a M_b + b is
+head a on the first n_a = n - n // 2 rows and tail b on the last n_b = n // 2
+(meet in the middle): only the M_a heads' and M_b tails' signal rows are
+stored, and a chunk of B replicas costs head-only and tail-only terms, one
+batched (M_a, n_b d) x (n_b d, M_b) GEMM for the cross term (about M n_b d
+multiply-adds per replica, not M (n d)^2), a log-sum-exp over the M axis and
+the head and tail marginals of p for the row means.  ``CHUNK_DOUBLES`` bounds
+the chunk's largest arrays; the budget on M keeps enumeration affordable.
+Rows are the i.i.d. unit, so enumeration runs over rows, not entries.
 """
 
 import math
@@ -42,7 +44,7 @@ DEFAULT_BUDGET = 200_000      # configurations one request may enumerate
 # np.indices builds an (n + 1)-dimensional array and numpy allows 64 axes, so
 # at most 63 rows can be enumerated whatever the atom count.
 MAX_ROWS = 63
-# doubles in the largest array of a chunk of replicas (2 MB)
+# doubles in the largest arrays of a chunk of replicas (2 MB)
 CHUNK_DOUBLES = 250_000
 
 
@@ -84,11 +86,6 @@ def _check_enumerable(model, n, data_samples=1):
             f"enumeration budget exceeded: {K}^{n} configurations > {DEFAULT_BUDGET}")
 
 
-def _rng(seed, stream):
-    ss = np.random.SeedSequence(_as_entropy(seed) + (stream,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _as_entropy(seed):
     if isinstance(seed, (tuple, list)):
         return tuple(int(s) for s in seed)
@@ -103,22 +100,40 @@ def sample_instance(model, n, seed):
     change when the prior gains atoms.
     """
     _check_enumerable(model, n)
-    return _draw(model, n, seed, psdlinalg.sqrtm_psd(model.s))
+    return _drawer(model, n, psdlinalg.sqrtm_psd(model.s))(seed)
 
 
-def _draw(model, n, seed, a_root):
-    """``sample_instance`` for a checked request whose S^{1/2} is ``a_root``."""
-    prior = model.prior
-    signal_rng = _rng(seed, 0)
-    noise_rng = _rng(seed, 1)
-    idx = signal_rng.choice(prior.atom_count, size=n, p=prior.weights)
-    signal = prior.atoms[idx]
-    y_tilde = signal @ a_root + noise_rng.standard_normal((n, model.d))
-    ys = tuple(
-        (signal @ b @ signal.T) / math.sqrt(n) + noise_rng.standard_normal((n, n))
-        for b in model.couplings)
-    return FiniteInstance(model=model, n=n, seed=seed, signal=signal,
-                          signal_idx=idx, y_tilde=y_tilde, ys=ys)
+def _drawer(model, n, a_root):
+    """``draw(seed)`` is ``sample_instance(model, n, seed)`` for one checked request.
+
+    Stream s of a seed is Philox(SeedSequence(entropy + (s,))): the one
+    generator is re-keyed per stream as the Philox constructor keys it, and atom
+    indices take ``Generator.choice``'s weighted path, bit for bit.
+    """
+    cdf = np.cumsum(model.prior.weights)
+    cdf /= cdf[-1]
+    rng = np.random.Generator(np.random.Philox(0))
+    zeros = np.zeros(4, dtype=np.uint64)
+
+    def stream(entropy, s):
+        key = np.random.SeedSequence(entropy + (s,)).generate_state(2, np.uint64)
+        rng.bit_generator.state = {"bit_generator": "Philox", "buffer": zeros,
+                                   "state": {"counter": zeros, "key": key},
+                                   "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return rng
+
+    def draw(seed):
+        entropy = _as_entropy(seed)
+        idx = cdf.searchsorted(stream(entropy, 0).random(n), side="right")
+        signal = model.prior.atoms[idx]
+        noise = stream(entropy, 1)
+        y_tilde = signal @ a_root + noise.standard_normal((n, model.d))
+        ys = tuple((signal @ b @ signal.T) / math.sqrt(n) + noise.standard_normal((n, n))
+                   for b in model.couplings)
+        return FiniteInstance(model=model, n=n, seed=seed, signal=signal,
+                              signal_idx=idx, y_tilde=y_tilde, ys=ys)
+
+    return draw
 
 
 def enumerate_configs(atom_count, n):
@@ -132,7 +147,8 @@ class _Enumeration:
     """The configurations of one request, and what the data do not change."""
 
     configs: np.ndarray   # (M, n) atom indices
-    signals: np.ndarray   # (M, n d) P: each configuration's signal rows, flattened
+    head: np.ndarray      # (M_a, n_a d) signal rows of the heads, flattened
+    tail: np.ndarray      # (M_b, n_b d) of the tails; (1, 0) when n_b = 0
     grams: np.ndarray     # (M, d, d) X^T X of each configuration
     base: np.ndarray      # (M,) data-free part of each log weight, prior included
 
@@ -140,10 +156,13 @@ class _Enumeration:
 def _enumerate(model, n, a_root):
     prior = model.prior
     configs = enumerate_configs(prior.atom_count, n)
-    x = prior.atoms[configs]                                 # (M, n, d)
-    grams = np.einsum("mia,mib->mab", x, x)
+    n_a, m_b = n - n // 2, prior.atom_count ** (n // 2)
+    head = prior.atoms[configs[::m_b, :n_a]]                 # (M_a, n_a, d)
+    tail = prior.atoms[configs[:m_b, n_a:]]                  # (M_b, n_b, d)
+    grams = (np.einsum("mia,mib->mab", head, head)[:, None]
+             + np.einsum("mia,mib->mab", tail, tail)).reshape(-1, model.d, model.d)
     base = np.log(prior.weights)[configs].sum(axis=1) + _data_free(model, n, grams, a_root)
-    return _Enumeration(configs, x.reshape(len(configs), -1), grams, base)
+    return _Enumeration(configs, head.reshape(len(head), -1), tail.reshape(m_b, -1), grams, base)
 
 
 def _data_free(model, n, grams, a_root):
@@ -158,16 +177,16 @@ def _data_free(model, n, grams, a_root):
 
 
 def _data_terms(insts, a_root):
-    """Coefficients of the data-dependent log weight, one column per instance.
+    """Coefficients of the data-dependent log weight, one row per instance.
 
-    Returns L (n d, B) = vec(y~ A^T) and Q (B, n d, n d) =
+    Returns L (B, n d) = vec(y~ A^T) and Q (B, n d, n d) =
     sum_l kron(Y_l, B_l) / sqrt(n), so that a configuration's term is
     vec(X) . L + vec(X) . Q vec(X) (row-major vec).
     """
     model, n = insts[0].model, insts[0].n
     d = model.d
     y_tilde = np.stack([inst.y_tilde for inst in insts])      # (B, n, d)
-    lin = (y_tilde @ a_root.T).reshape(len(insts), n * d).T
+    lin = (y_tilde @ a_root.T).reshape(len(insts), n * d)
     quad = np.zeros((len(insts), n, d, n, d))
     for l, b in enumerate(model.couplings):
         ys = np.stack([inst.ys[l] for inst in insts])         # (B, n, n)
@@ -176,8 +195,9 @@ def _data_terms(insts, a_root):
 
 
 def _chunk_size(m, nd):
-    """Replicas per chunk: the (m, B nd) GEMM result and Q stay within CHUNK_DOUBLES."""
-    return max(1, CHUNK_DOUBLES // (nd * max(m, nd)))
+    """Replicas per chunk: live together while log Z is taken, the (B, m) log
+    weights, the copy ``logsumexp`` shifts and Q stay within CHUNK_DOUBLES."""
+    return max(1, CHUNK_DOUBLES // (2 * m + nd * nd))
 
 
 def _score(insts, enum, a_root):
@@ -185,21 +205,23 @@ def _score(insts, enum, a_root):
 
     Returns (log_z, ll_signal, means, p): per instance the log normalizer of
     the configuration weights (B,), the log weight of the true signal without
-    its prior factor (B,), the posterior row means (B, n, d), and the (M, B)
-    posterior probabilities of the configurations.
+    its prior factor (B,), the posterior row means (B, n, d) (from the head
+    and tail marginals of p), and the (B, M) posterior probabilities.
     """
     model, n = insts[0].model, insts[0].n
     lin, quad = _data_terms(insts, a_root)
-    lw = _kernels.config_quadratic_terms(enum.configs, enum.signals, lin, quad)
-    lw += enum.base[:, None]
-    log_z = logsumexp(lw, axis=0)
-    lw -= log_z
+    lw = _kernels.config_quadratic_terms(enum.configs, enum.head, enum.tail, lin, quad)
+    lw += enum.base
+    log_z = logsumexp(lw, axis=1)
+    lw -= log_z[:, None]
     p = np.exp(lw, out=lw)
-    means = (enum.signals.T @ p).T.reshape(len(insts), n, model.d)
+    joint = p.reshape(len(insts), len(enum.head), len(enum.tail))
+    means = np.concatenate([joint.sum(axis=2) @ enum.head, joint.sum(axis=1) @ enum.tail],
+                           axis=1).reshape(len(insts), n, model.d)
     signals = np.stack([inst.signal for inst in insts])        # (B, n, d)
     flat = signals.reshape(len(insts), -1)
     ll_signal = (_data_free(model, n, signals.transpose(0, 2, 1) @ signals, a_root)
-                 + np.einsum("bj,jb->b", flat, lin)
+                 + np.einsum("bj,bj->b", flat, lin)
                  + np.einsum("bj,bjk,bk->b", flat, quad, flat))
     return log_z, ll_signal, means, p
 
@@ -212,7 +234,7 @@ def exact_posterior(inst):
     enum = _enumerate(model, n, a_root)
     log_z, _, means, p = _score([inst], enum, a_root)
     per_row_mean = means[0]
-    second = np.einsum("m,mab->ab", p[:, 0], enum.grams) / n
+    second = np.einsum("m,mab->ab", p[0], enum.grams) / n
     outer = per_row_mean.T @ per_row_mean / n
     const = float(np.sum(inst.y_tilde ** 2)) + sum(float(np.sum(y ** 2)) for y in inst.ys)
     return PosteriorSummary(
@@ -262,11 +284,12 @@ def replica_average(model, n, data_samples, seed):
     mi = np.empty(data_samples)
     q = np.empty((data_samples, model.d, model.d))
     r = np.empty_like(q)
+    draw = _drawer(model, n, a_root)
     for lo in range(0, data_samples, chunk):
-        insts = [_draw(model, n, entropy + (rep,), a_root)
-                 for rep in range(lo, min(lo + chunk, data_samples))]
+        insts = [draw(entropy + (rep,)) for rep in range(lo, min(lo + chunk, data_samples))]
         reps = slice(lo, lo + len(insts))
-        log_z, ll_signal, means, _ = _score(insts, enum, a_root)
+        # p is not kept: it would stay alive while the next chunk is scored
+        log_z, ll_signal, means = _score(insts, enum, a_root)[:3]
         signals = np.stack([inst.signal for inst in insts])
         mi[reps] = (ll_signal - log_z) / n
         q[reps] = signals.transpose(0, 2, 1) @ means / n

@@ -79,8 +79,9 @@ class RotInvModel:
     tau: SpectralDistribution
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.lam <= 0:
-            raise ValueError("alpha and lambda must be positive")
+        for name, value in (("alpha", self.alpha), ("lambda", self.lam)):
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.prior.dim != 1:
             raise ValueError("the rotationally invariant module is scalar (d = 1)")
 
@@ -141,7 +142,8 @@ def _se_run(model, e0, settings, quad, origin):
         lambda x: np.array([_se_map(model, x[0], quad)[0]]), [e0], settings,
         lambda x: np.clip(x, 0.0, rho))
     e = float(e[0])
-    return ScalarFixedPoint(e, _se_map(model, e, quad)[1], residual, converged, origin)
+    r = model.lam * r_transform(model, e * model.lam)
+    return ScalarFixedPoint(e, r, residual, converged, origin)
 
 
 def _bracketed_roots(model, quad):

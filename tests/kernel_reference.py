@@ -56,18 +56,20 @@ def channel_discrete_moments(logw, c, D, atoms, nodes, node_w, *, moments=True):
     return mi, second, outer
 
 
-def config_quadratic_terms(C, P, L, Q):
-    M, nd = P.shape
-    B = L.shape[1]
-    out = np.empty((M, B))
+def config_quadratic_terms(C, head, tail, L, Q):
+    M = C.shape[0]
+    m_b = tail.shape[0]
+    B, nd = L.shape
+    out = np.empty((B, M))
     for m in range(M):
+        x = np.concatenate([head[m // m_b], tail[m % m_b]])
         for b in range(B):
             acc = 0.0
             for j in range(nd):
-                acc += P[m, j] * L[j, b]
+                acc += x[j] * L[b, j]
                 for k in range(nd):
-                    acc += P[m, j] * Q[b, j, k] * P[m, k]
-            out[m, b] = acc
+                    acc += x[j] * Q[b, j, k] * x[k]
+            out[b, m] = acc
     return out
 
 

@@ -196,19 +196,63 @@ def test_oracle_subcommand(rademacher_file, tmp_path):
 
 def test_oracle_enumerates_each_replica_once(rademacher_file, tmp_path, monkeypatch):
     # one kernel call per chunk of replicas, each replica in exactly one
-    # chunk: with chunks of 3 (n = 3, 8 configurations) 7 replicas make 3 calls
+    # chunk: with chunks of 3 (n = 3, 8 configurations, 2 * 8 + 3 * 3 doubles
+    # per replica) 7 replicas make 3 calls
     columns = []
     kernel = _kernels.config_quadratic_terms
 
     def counting(*args):
-        columns.append(args[2].shape[1])
+        columns.append(len(args[4]))
         return kernel(*args)
 
     monkeypatch.setattr(_kernels, "config_quadratic_terms", counting)
-    monkeypatch.setattr(oracle, "CHUNK_DOUBLES", 3 * 8 * 3)
+    monkeypatch.setattr(oracle, "CHUNK_DOUBLES", 3 * (2 * 8 + 3 * 3))
     assert cli.run(["oracle", "--model", rademacher_file, "--n", "3", "--mc-samples", "7",
                     "--out", str(tmp_path / "once.json")]) == 0
     assert columns == [3, 3, 1]
+
+
+def test_cached_parser_matches_fresh_parser(rademacher_file, tmp_path, monkeypatch):
+    # consecutive runs of different subcommands through the one cached parser
+    # write what runs through a freshly built parser write: an option set in
+    # one run (--seed, --tol, --quad-nodes) does not reach the next
+    runs = [["oracle", "--model", rademacher_file, "--n", "3", "--mc-samples", "40",
+             "--seed", "9"],
+            ["solve", "--model", rademacher_file, "--tol", "1e-6", "--quad-nodes", "21"],
+            ["oracle", "--model", rademacher_file, "--n", "2", "--mc-samples", "40"],
+            ["solve", "--model", rademacher_file],
+            ["rotinv-spectrum", "--factors", "1", "--n", "20", "--alpha", "1.5", "--seed", "2"],
+            ["rotinv-spectrum", "--factors", "1", "--n", "20", "--alpha", "1.5"]]
+
+    def artifacts():
+        blobs = []
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"run{i}.out"
+            assert cli.run(argv + ["--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        return blobs
+
+    cli._parser.cache_clear()
+    cached = artifacts()
+    assert cli._parser.cache_info().misses == 1
+    for argv in runs:
+        assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert artifacts() == cached
+    assert cached[0] != cached[2] and cached[4] != cached[5]
+
+
+def test_rotinv_non_finite_scalars_refused(tmp_path, capsys):
+    # json reads NaN and +-Infinity literals: each is refused by name, exit 1
+    for key in ("alpha", "lambda"):
+        for literal in ("NaN", "Infinity", "-Infinity"):
+            doc = json.loads(ROTINV_DOC)
+            text = json.dumps(doc).replace(f'"{key}": 1.0', f'"{key}": {literal}')
+            assert literal in text
+            model = tmp_path / "rot_bad.json"
+            model.write_text(text)
+            assert cli.run(["rotinv-solve", "--model", str(model)]) == cli.EXIT_INPUT
+            assert f"field '{key}' must be a finite positive number" in capsys.readouterr().err
 
 
 def test_rotinv_subcommands(tmp_path):
@@ -360,13 +404,25 @@ def test_byte_determinism_oracle(rademacher_file, tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency: importing the CLI (and with it
-    # every module of the package) must not pull in any part of scipy
+def _loaded_by_cli_import(package):
+    """Modules of ``package`` loaded by ``import rslimits.cli`` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = ("import sys, rslimits.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m == {package!r} "
+            f"or m.startswith({package + '.'!r})))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency: importing the CLI (and with it
+    # every module of the package) must not pull in any part of scipy
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_numpy_random():
+    # generators are built when a command draws, not at import: a
+    # module-level Generator would load numpy.random at every CLI start
+    assert _loaded_by_cli_import("numpy.random") == "[]"

@@ -80,23 +80,30 @@ def test_channel_kernel_memory_bounded():
 
 
 def test_config_kernels_match_reference():
-    # every replica column of the batched kernel against the loop reference;
-    # the d=2 model with two couplings exercises the kron(Y_l, B_l) layout
+    # every replica row of the batched kernel against the loop reference; the
+    # K = 3, d = 2 model with two couplings exercises the kron(Y_l, B_l)
+    # layout, n = 1 an empty tail and n = 3, 5 a head longer than the tail
     d2 = ModelSpec(2, (0.5 * np.eye(2), [[0.3, 0.1], [0.1, -0.2]]), [[0.3, 0.1], [0.1, 0.2]],
-                   priors.discrete([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-0.5, -1.0]],
-                                   [0.1, 0.2, 0.3, 0.4]))
-    for m, n in ((rademacher_model(2.0, s=0.3), 5), (d2, 3)):
+                   priors.discrete([[1.0, 0.5], [-1.0, 0.0], [0.2, -1.2]], [0.5, 0.3, 0.2]))
+    cases = [(rademacher_model(2.0, s=0.3), 5)] + [(d2, n) for n in (1, 2, 3, 5)]
+    for m, n in cases:
         a_root = psdlinalg.sqrtm_psd(m.s)
         enum = oracle._enumerate(m, n, a_root)
+        # configuration a M_b + b is head a followed by tail b
+        m_b = len(enum.tail)
+        rows = np.concatenate([np.repeat(enum.head, m_b, axis=0),
+                               np.tile(enum.tail, (len(enum.head), 1))], axis=1)
+        npt.assert_array_equal(rows, m.prior.atoms[enum.configs].reshape(len(enum.configs), -1))
         insts = [oracle.sample_instance(m, n, seed=(8, rep)) for rep in range(3)]
         L, Q = oracle._data_terms(insts, a_root)
-        fast = _kernels.config_quadratic_terms(enum.configs, enum.signals, L, Q)
-        assert fast.shape == (len(enum.configs), len(insts))
+        fast = _kernels.config_quadratic_terms(enum.configs, enum.head, enum.tail, L, Q)
+        assert fast.shape == (len(insts), len(enum.configs))
         for b in range(len(insts)):
-            slow = ref.config_quadratic_terms(enum.configs, enum.signals, L[:, b:b + 1], Q[b:b + 1])
-            npt.assert_allclose(fast[:, b], slow[:, 0], rtol=0, atol=1e-12)
+            slow = ref.config_quadratic_terms(enum.configs, enum.head, enum.tail,
+                                              L[b:b + 1], Q[b:b + 1])
+            npt.assert_allclose(fast[b], slow[0], rtol=0, atol=1e-12)
         K = m.prior.atom_count
-        p = np.exp(fast[:, 0] - fast[:, 0].max())
+        p = np.exp(fast[0] - fast[0].max())
         p /= p.sum()
         npt.assert_allclose(_kernels.config_row_marginals(enum.configs, p, K),
                             ref.config_row_marginals(enum.configs, p, K), rtol=1e-13, atol=1e-15)

@@ -47,6 +47,35 @@ def test_sample_instance_deterministic(wigner_rademacher):
         npt.assert_array_equal(ya, yb)
 
 
+def test_sample_instance_matches_generator_per_stream():
+    # bit for bit the draws of a fresh Generator(Philox(SeedSequence(seed +
+    # (stream,)))) per stream with Generator.choice, for integer and tuple
+    # seeds and non-uniform weights, from sample_instance and from one
+    # request's generator re-keyed seed after seed
+    prior = priors.discrete([[1.0, 0.5], [-1.0, 0.0], [0.2, -1.2]], [0.5, 0.3, 0.2])
+    m = ModelSpec(2, (0.5 * np.eye(2), [[0.3, 0.1], [0.1, -0.2]]), [[0.3, 0.1], [0.1, 0.2]],
+                  prior)
+    n = 5
+    seeds = [(0, (0,)), (11, (11,)), (2 ** 40 + 3, (2 ** 40 + 3,)), ((7, 3), (7, 3)),
+             ([777, 19, 5], (777, 19, 5))]
+    draw = oracle._drawer(m, n, psdlinalg.sqrtm_psd(m.s))
+    for seed, entropy in seeds:
+        signal_rng, noise_rng = (
+            np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy + (stream,))))
+            for stream in (0, 1))
+        idx = signal_rng.choice(3, size=n, p=prior.weights)
+        x = prior.atoms[idx]
+        y_tilde = x @ psdlinalg.sqrtm_psd(m.s) + noise_rng.standard_normal((n, 2))
+        ys = [x @ b @ x.T / math.sqrt(n) + noise_rng.standard_normal((n, n)) for b in m.couplings]
+        for inst in (oracle.sample_instance(m, n, seed), draw(seed)):
+            assert inst.signal_idx.dtype == idx.dtype
+            npt.assert_array_equal(inst.signal_idx, idx)
+            npt.assert_array_equal(inst.signal, x)
+            npt.assert_array_equal(inst.y_tilde, y_tilde)
+            for got, want in zip(inst.ys, ys, strict=True):
+                npt.assert_array_equal(got, want)
+
+
 def test_sample_instance_prior_frequencies():
     p = priors.discrete([[1.0], [0.0], [-1.0]], [0.2, 0.5, 0.3])
     m = ModelSpec(1, (), [[0.0]], p)
@@ -136,8 +165,8 @@ def test_score_matches_direct_residual_d2():
             return np.sum(np.log(m.prior.weights[list(cfg)])) - 0.5 * (ss - const)
         lw = np.array([log_weight(cfg) for cfg in enum.configs])
         npt.assert_allclose(log_z[b], logsumexp(lw), rtol=0, atol=1e-12)
-        npt.assert_allclose(p[:, b], np.exp(lw - logsumexp(lw)), rtol=0, atol=1e-14)
-        npt.assert_allclose(means[b], np.einsum("m,mia->ia", p[:, b], m.prior.atoms[enum.configs]),
+        npt.assert_allclose(p[b], np.exp(lw - logsumexp(lw)), rtol=0, atol=1e-14)
+        npt.assert_allclose(means[b], np.einsum("m,mia->ia", p[b], m.prior.atoms[enum.configs]),
                             rtol=0, atol=1e-14)
         prior_lw = np.sum(np.log(m.prior.weights[inst.signal_idx]))
         npt.assert_allclose(ll_signal[b], log_weight(inst.signal_idx) - prior_lw, rtol=0, atol=1e-12)
@@ -190,7 +219,7 @@ def test_replica_average_matches_exact_posterior():
     # likelihood coded here and the evidence from exact_posterior; the
     # replicas span more than one chunk and end on a partial one
     m = rademacher_model(2.0, s=0.3)
-    n, reps, seed = 12, 7, 4
+    n, reps, seed = 15, 7, 4
     chunk = oracle._chunk_size(2 ** n, n)
     assert chunk < reps and reps % chunk
     res = oracle.replica_average(m, n, reps, seed)
@@ -257,7 +286,7 @@ def test_nishimori_exact_under_data_quadrature():
                                      y_tilde=y_tilde, ys=(y,))
         summ = oracle.exact_posterior(inst)
         # joint E[X^T <X~>] with the X-average done by the posterior
-        p = oracle._score([inst], enum, a_root)[3][:, 0]
+        p = oracle._score([inst], enum, a_root)[3][0]
         mean_rows = summ.per_row_mean
         for cfg, pc in zip(enum.configs, p):
             x = atoms[cfg]

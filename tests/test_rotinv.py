@@ -229,6 +229,42 @@ def test_solve_rotinv_bracket_refine_budget(monkeypatch):
     npt.assert_allclose(sol.r_star, GOLDEN, atol=FP_TOL)
 
 
+def test_engine_start_maps_once_per_iteration(monkeypatch):
+    # an engine start calls _se_map only through the fixed-point engine: r
+    # at the returned E comes from the R-transform, not from one more map call
+    maps, engine_calls = [], []
+    se_map, fixed_point = rotinv._se_map, rotinv.fixed_point
+
+    def counting_map(*args):
+        maps.append(1)
+        return se_map(*args)
+
+    def counting_engine(f, *args):
+        def counted(x):
+            engine_calls.append(1)
+            return f(x)
+        return fixed_point(counted, *args)
+
+    monkeypatch.setattr(rotinv, "_se_map", counting_map)
+    monkeypatch.setattr(rotinv, "fixed_point", counting_engine)
+    m = rotinv.RotInvModel(0.9, 1.4, priors.rademacher(), TWO_ATOM)
+    for e0 in (m.rho(), 1e-3 * m.rho()):
+        maps.clear()
+        engine_calls.clear()
+        p = rotinv._se_run(m, e0, None, GH63, "start")
+        assert engine_calls and len(maps) == len(engine_calls)
+        assert p.r == m.lam * rotinv.r_transform(m, p.e * m.lam)
+
+
+def test_model_rejects_non_finite_scalars():
+    prior, tau = priors.gaussian([[1.0]]), rotinv.marchenko_pastur_unit()
+    for bad in (float("nan"), float("inf"), float("-inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            rotinv.RotInvModel(bad, 1.0, prior, tau)
+        with pytest.raises(ValueError, match="lambda must be finite and positive"):
+            rotinv.RotInvModel(1.0, bad, prior, tau)
+
+
 def test_solve_rotinv_vanishing_snr():
     m = rotinv.RotInvModel(1.0, 1e-8, priors.gaussian([[1.0]]),
                            rotinv.marchenko_pastur_unit())
