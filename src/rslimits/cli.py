@@ -13,7 +13,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -240,18 +240,14 @@ def _fixed_point_doc(res):
 
 
 def _cmd_check_hypothesis(args):
-    model = _load_model(args)
-    rep = check_hypothesis(model)
-    return {"holds": rep.holds, "min_eigenvalue": rep.min_eigenvalue}, EXIT_OK
+    return asdict(check_hypothesis(_load_model(args))), EXIT_OK
 
 
 def _cmd_potential(args):
     model = _load_model(args)
     r = _as_float_array(json.loads(args.r), "--r", (model.d, model.d))
     q = _as_float_array(json.loads(args.q), "--q", (model.d, model.d))
-    pv = potential(model, r, q, _quad_for(args, model.d))
-    return {"value": pv.value, "channel_term": pv.channel_term,
-            "linear_term": pv.linear_term, "quartic_term": pv.quartic_term}, EXIT_OK
+    return asdict(potential(model, r, q, _quad_for(args, model.d))), EXIT_OK
 
 
 def _cmd_solve(args):
@@ -334,44 +330,17 @@ def _cmd_oracle(args):
     model = _load_model(args)
     samples = 2000 if args.mc_samples is None else args.mc_samples
     res = oracle.replica_average(model, args.n, samples, args.seed)
-    doc = {
-        "n": args.n,
-        "samples": samples,
-        "mi_per_row": res.mi_per_row,
-        "mi_std_err": res.mi_std_err,
-        "nishimori_residual": res.nishimori_residual,
-        "nishimori_std_err": res.nishimori_std_err,
-        "overlap_mean": _matrix(res.overlap_mean),
-        "replica_overlap_mean": _matrix(res.replica_overlap_mean),
-    }
-    return doc, EXIT_OK
+    return {"n": args.n, **asdict(res)}, EXIT_OK
 
 
 def _cmd_rotinv_solve(args):
     model = _load_model(args, parse_rotinv_model)
-    sol = rotinv.solve_rotinv(model, _settings(args), _quad_for(args, 1))
-    doc = {
-        "value": sol.value,
-        "e_star": sol.e_star,
-        "r_star": sol.r_star,
-        "fixed_points": [
-            {"e": p.e, "r": p.r, "residual": p.residual,
-             "converged": bool(p.converged), "origin": p.origin}
-            for p in sol.fixed_points
-        ],
-    }
-    return doc, EXIT_OK
+    return asdict(rotinv.solve_rotinv(model, _quad_for(args, 1))), EXIT_OK
 
 
 def _cmd_rotinv_spectrum(args):
     sd = rotinv.empirical_spectrum(args.factors, args.n, args.alpha, seed=args.seed)
-    doc = {
-        "atoms": list(map(float, sd.atoms)),
-        "weights": list(map(float, sd.weights)),
-        "mean": sd.mean(),
-        "second_moment": sd.moment(2),
-    }
-    return doc, EXIT_OK
+    return {**asdict(sd), "mean": sd.mean(), "second_moment": sd.moment(2)}, EXIT_OK
 
 
 _COMMANDS = {
@@ -387,24 +356,36 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # a usage error is an input error: exit 1, not 2
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rslimits",
         description="Replica-symmetric limits of multiview spiked matrix models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _COMMANDS:         # each shared flag only on the commands that read it
         p = sub.add_parser(name)
-        p.add_argument("--model", help="model JSON file")
+        solves = name in ("solve", "infsup", "mmse", "sweep")
+        quadrature = solves or name in ("potential", "rotinv-solve")
+        if name != "rotinv-spectrum":
+            p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", help="output artifact path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--damping", type=float, default=solver.SolveSettings.damping)
-        p.add_argument("--tol", type=float, default=solver.SolveSettings.tol)
-        p.add_argument("--max-iters", type=int, default=solver.SolveSettings.max_iters)
-        p.add_argument("--quad-nodes", type=int,
-                       help="Gauss-Hermite nodes per dimension (default: by policy)")
-        p.add_argument("--mc-samples", type=int,
-                       help="Monte Carlo samples (quadrature d>=4, oracle replicas)")
+        if name != "check-hypothesis":
+            p.add_argument("--seed", type=int, default=0)
+        if solves:
+            p.add_argument("--damping", type=float, default=solver.SolveSettings.damping)
+            p.add_argument("--tol", type=float, default=solver.SolveSettings.tol)
+            p.add_argument("--max-iters", type=int, default=solver.SolveSettings.max_iters)
+        if quadrature:
+            p.add_argument("--quad-nodes", type=int,
+                           help="Gauss-Hermite nodes per dimension (default: by policy)")
+        if quadrature or name == "oracle":
+            p.add_argument("--mc-samples", type=int,
+                           help="Monte Carlo samples (quadrature d>=4, oracle replicas)")
         if name == "potential":
             p.add_argument("--r", required=True, help="inline JSON d x d matrix")
             p.add_argument("--q", required=True, help="inline JSON d x d matrix")
@@ -435,16 +416,12 @@ def _write(text, out_path):
 
 
 def run(argv=None):
-    args = _parser().parse_args(argv)
-    needs_model = args.command not in ("rotinv-spectrum",)
-    if needs_model and not args.model:
-        print("error: --model is required", file=sys.stderr)
-        return EXIT_INPUT
-    for flag, count in (("--quad-nodes", args.quad_nodes), ("--mc-samples", args.mc_samples)):
-        if count is not None and count < 1:
-            print(f"error: {flag} must be >= 1, got {count}", file=sys.stderr)
-            return EXIT_INPUT
     try:
+        args = _parser().parse_args(argv)
+        for flag in ("quad_nodes", "mc_samples"):
+            count = getattr(args, flag, None)
+            if count is not None and count < 1:
+                raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {count}")
         result, code = _COMMANDS[args.command](args)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

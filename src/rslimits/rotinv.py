@@ -23,6 +23,11 @@ the state-evolution fixed points
 plus the boundary sections E in {0, rho}.  With several fixed points the
 inf-sup value is the smallest potential value over Gamma (a dense-grid
 cross-check of this selection is part of the test suite).
+
+Gamma, unstable points included, is the root set of psi(E) = E - mmse(...)
+on [0, rho], found by a piecewise Chebyshev proxy (:func:`scalar_roots`).
+A point is ``stable`` where psi crosses upward (E <- mmse(...) contracts); a
+near-double root is flagged ``converged=False`` and never selected.
 """
 
 import warnings
@@ -31,9 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _mi_core, _mmse_core
-from .solver import UNINFORMATIVE_SCALE, fixed_point
 
-GAMMA_GRID_POINTS = 200   # coarse bracketing captures up to ~3 fixed points
+PROXY_DEGREES = (8, 16, 32)   # nested Chebyshev-Lobatto degrees of one proxy piece
+PROXY_TOL = 1e-6          # resolved: last three coefficients <= PROXY_TOL * sampled scale
+MAX_SPLITS = 16           # proxy pieces are no narrower than (b - a) / 2**MAX_SPLITS
 MAX_GAUSSIAN_FACTORS = 5  # conditioning of longer products is not validated
 _DESK_SCALE = 2000        # largest n and m = round(alpha n) of an empirical spectrum
 
@@ -126,87 +132,106 @@ class ScalarFixedPoint:
     r: float
     residual: float
     converged: bool
-    origin: str
+    stable: bool
 
 
 def _se_map(model, e, quad):
-    """(mmse(X | sqrt(r) X + Z), r) at r = lam R(-E lam); r >= 0 by construction."""
+    """mmse(X | sqrt(r) X + Z) at r = lam R(-E lam) >= 0."""
     r = model.lam * r_transform(model, e * model.lam)
-    return float(_mmse_core(model.prior, np.array([[r]]), quad)[0, 0]), r
+    return float(_mmse_core(model.prior, np.array([[r]]), quad)[0, 0])
 
 
-def _se_run(model, e0, settings, quad, origin):
-    """State evolution from ``e0`` on :func:`solver.fixed_point`, E clipped to [0, rho]."""
-    rho = model.rho()
-    e, residual, _, converged, _ = fixed_point(
-        lambda x: np.array([_se_map(model, x[0], quad)[0]]), [e0], settings,
-        lambda x: np.clip(x, 0.0, rho))
-    e = float(e[0])
-    r = model.lam * r_transform(model, e * model.lam)
-    return ScalarFixedPoint(e, r, residual, converged, origin)
-
-
-def _bracketed_roots(model, quad):
-    """Sign-change bracketing of psi(E) = E - mmse(lam R(-E lam)) on a grid.
-
-    Each bracket is refined by Illinois regula falsi: the root stays
-    bracketed, and the value at an end kept twice in a row is halved, so both
-    ends move.  The refinement stops at width 1e-15 max(1, rho) or at
-    |psi| <= 1e-15.
-    """
-    rho = model.rho()
-    width = 1e-15 * max(1.0, rho)
-    grid = np.linspace(0.0, rho, GAMMA_GRID_POINTS + 1)
-    psi = np.array([e - _se_map(model, e, quad)[0] for e in grid])
-    out = []
-    for i in range(len(grid) - 1):
-        if psi[i] == 0.0:
-            e = grid[i]
-        elif psi[i] * psi[i + 1] < 0.0:
-            lo, hi, flo, fhi, kept = grid[i], grid[i + 1], psi[i], psi[i + 1], None
-            for _ in range(200):
-                e = lo + (hi - lo) * flo / (flo - fhi)
-                fe = e - _se_map(model, e, quad)[0]
-                if abs(fe) <= 1e-15:
-                    break
-                if flo * fe < 0.0:          # root in [lo, e]: lo is kept
-                    if kept == "lo":
-                        flo *= 0.5
-                    hi, fhi, kept = e, fe, "lo"
-                else:
-                    if kept == "hi":
-                        fhi *= 0.5
-                    lo, flo, kept = e, fe, "hi"
-                if hi - lo <= width:
-                    break
+def _illinois(f, lo, hi, flo, fhi, width):
+    """Root in a bracket (flo * fhi < 0) by Illinois regula falsi: the value at an end
+    kept twice in a row is halved.  Stops at width ``width`` or |f| <= 1e-15."""
+    kept = 0                        # -1: lo was kept last step, +1: hi was
+    for _ in range(200):
+        x = lo + (hi - lo) * flo / (flo - fhi)
+        fx = f(x)
+        if abs(fx) <= 1e-15:
+            break
+        if flo * fx < 0.0:          # root in [lo, x]: lo is kept
+            hi, fhi, flo, kept = x, fx, flo * (0.5 if kept < 0 else 1.0), -1
         else:
-            continue
-        m, r = _se_map(model, e, quad)
-        out.append(ScalarFixedPoint(e, r, abs(m - e), True, "grid"))
-    return out
+            lo, flo, fhi, kept = x, fx, fhi * (0.5 if kept > 0 else 1.0), 1
+        if hi - lo <= width:
+            break
+    return x, fx
 
 
-def state_evolution(model, settings=None, quad=None):
-    """The fixed-point set Gamma: grid bracketing plus two accelerated starts.
+def scalar_roots(psi, a, b):
+    """Every root of a continuous scalar ``psi`` on [a, b]: (x, psi(x), crossing)
+    sorted by x, crossing +1 where psi crosses zero upward, -1 downward.
 
-    Every returned pair satisfies both state-evolution equations within the
-    solver tolerance; non-convergent starts are flagged, not raised.  Of the
-    points within 1e-7 max(1, rho) in E the first is kept, grid roots (width
-    1e-15) before the informative and uninformative starts; sorted by E.
+    * Proxy: Chebyshev interpolants at nested Lobatto points (``PROXY_DEGREES``,
+      each value computed once); a piece whose last three coefficients still
+      exceed ``PROXY_TOL`` times the largest |psi| first sampled is halved,
+      down to width (b - a) / 2**MAX_SPLITS, then RuntimeError.
+    * Brackets: sign changes of psi over all samples, which include the
+      midpoint of neighbouring proxy roots (imaginary part at most
+      sqrt(PROXY_TOL)) no sample separates; each is refined by
+      :func:`_illinois` on psi.
+    * crossing 0, unrefined, with a RuntimeWarning: a proxy root where psi
+      keeps its sign (a near-double root) and a sampled zero psi only touches.
     """
-    rho = model.rho()
-    points = [*_bracketed_roots(model, quad),
-              _se_run(model, rho, settings, quad, "informative"),
-              _se_run(model, UNINFORMATIVE_SCALE * rho, settings, quad, "uninformative")]
-    unique = []
-    for p in points:
-        if not p.converged:
-            warnings.warn(f"state-evolution start {p.origin!r} did not converge",
-                          RuntimeWarning)
+    from numpy.polynomial import chebyshev
+
+    if not a < b:
+        raise ValueError(f"empty interval [{a}, {b}]")
+    values = {}
+
+    def f(x):
+        return values[x] if x in values else values.setdefault(x, psi(x))
+
+    pieces, roots, scale = [(a, b)], [], None
+    while pieces:
+        lo, hi = pieces.pop()
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for n in PROXY_DEGREES:
+            t = np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n))   # 1 ... -1, exact 0 at n/2
+            v = [f(x) for x in (hi, *(mid + half * t[1:-1]), lo)]
+            scale = max(map(abs, v)) if scale is None else scale
+            c = chebyshev.chebfit(t, v, n)
+            if np.all(np.abs(c[-3:]) <= PROXY_TOL * scale):
+                break
+        else:
+            if hi - lo <= (b - a) * 2.0 ** -MAX_SPLITS:
+                raise RuntimeError(f"no Chebyshev proxy resolves psi on [{lo}, {hi}]")
+            pieces += [(lo, mid), (mid, hi)]
             continue
-        if all(abs(p.e - u.e) > 1e-7 * max(1.0, rho) for u in unique):
-            unique.append(p)
-    return tuple(sorted(unique, key=lambda p: p.e))
+        z = chebyshev.chebroots(chebyshev.chebtrim(c, PROXY_TOL * scale))
+        roots.extend(mid + half * z.real[(abs(z.imag) <= PROXY_TOL ** 0.5) & (abs(z.real) <= 1)])
+
+    roots, xs = np.sort(roots), np.array(sorted(values))
+    for z0, z1 in zip(roots, roots[1:]):
+        if not np.any((xs > z0) & (xs < z1)):
+            f(0.5 * (z0 + z1))
+    xs = np.array(sorted(values))
+    s = np.sign([values[x] for x in xs])
+    ends = np.concatenate([[-s[1]], s, [-s[-2]]])     # a missing neighbour mirrors the other
+    out = [(xs[i], 0.0, int(np.sign(ends[i + 2] - ends[i]))) for i in np.flatnonzero(s == 0)]
+    out += [(*_illinois(f, xs[i], xs[i + 1], values[xs[i]], values[xs[i + 1]],
+                        1e-15 * max(1.0, abs(a), abs(b))), int(s[i + 1]))
+            for i in np.flatnonzero(s[:-1] * s[1:] < 0)]
+    at = np.clip(np.searchsorted(xs, roots), 1, len(xs) - 1)
+    lone = {i: z for i, z in zip(at, roots) if s[i - 1] * s[i] > 0}   # sample interval -> root
+    for i in sorted(lone):          # a pair across one sample is one root, at that sample
+        if i - 1 in lone:
+            lone[i - 1] = xs[i - 1]
+            del lone[i]
+    out += [(z, f(z), 0) for z in lone.values()]
+    for x in [x for x, _, crossing in out if crossing == 0]:
+        warnings.warn(f"near-double root of psi at {x:.6g}, not refined", RuntimeWarning)
+    return sorted(out)
+
+
+def state_evolution(model, quad=None):
+    """Gamma, sorted by E: :func:`scalar_roots` of psi(E) = E - mmse(lam R(-E lam))
+    on [0, rho]; a flagged near-double root has ``converged=False``."""
+    return tuple(ScalarFixedPoint(e, model.lam * r_transform(model, e * model.lam), abs(psi_e),
+                                  crossing != 0, crossing > 0)
+                 for e, psi_e, crossing in scalar_roots(
+                     lambda e: e - _se_map(model, e, quad), 0.0, model.rho()))
 
 
 @dataclass(frozen=True)
@@ -217,25 +242,23 @@ class RotInvSolution:
     fixed_points: tuple
 
 
-def solve_rotinv(model, settings=None, quad=None):
+def solve_rotinv(model, quad=None):
     """inf_r sup_E of the potential, evaluated over Gamma and the E-boundaries.
 
     The E-sections are strictly concave, so every Gamma member is an inner
-    maximizer; the outer inf selects the smallest potential value among them.
-    The boundary sections E in {0, rho} are evaluated explicitly in case an
-    extremizer is not interior.
+    maximizer; the outer inf selects the smallest potential value among the
+    converged ones (psi(0) <= 0 <= psi(rho): there is one).  The boundary
+    sections E in {0, rho} are evaluated explicitly in case an extremizer is
+    not interior.
     """
-    gamma = state_evolution(model, settings, quad)
-    if not gamma:
-        raise RuntimeError("empty fixed-point set; state evolution failed to converge")
-    candidates = [(i_rs(model, p.e, p.r, quad), p.e, p.r) for p in gamma]
+    gamma = state_evolution(model, quad)
+    candidates = [(i_rs(model, p.e, p.r, quad), p.e, p.r) for p in gamma if p.converged]
     rho = model.rho()
     # boundary sections: at E = rho the inner sup of the r = 0 section, and the
     # E = 0 section whose sup over r is at r = 0 (value I(0) >= 0, never below
     # a Gamma value for centered priors but evaluated for safety)
-    candidates.append((i_rs(model, rho, 0.0, quad), rho, 0.0))
-    candidates.append((i_rs(model, 0.0, model.lam * r_transform(model, 0.0), quad),
-                       0.0, model.lam * r_transform(model, 0.0)))
+    r0 = model.lam * r_transform(model, 0.0)
+    candidates += [(i_rs(model, rho, 0.0, quad), rho, 0.0), (i_rs(model, 0.0, r0, quad), 0.0, r0)]
     value, e_star, r_star = min(candidates, key=lambda c: c[0])
     return RotInvSolution(value=value, e_star=e_star, r_star=r_star, fixed_points=gamma)
 

@@ -9,10 +9,10 @@ over PSD q, reached at state-evolution fixed points q = rho_bar - M_S(r*(q)).
 With several fixed points the inf picks the smallest potential value; that is
 the selection rule everywhere in this module.
 
-Fixed points are found by :func:`fixed_point`, the one engine shared with
-``rotinv``.  It works on a flat coordinate vector with a projection onto the
-admissible set (here vech(q), off-diagonal entries scaled by sqrt(2) so the
-Euclidean norm is the Frobenius norm, projected onto the PSD cone).  It runs
+Fixed points are found by :func:`fixed_point`.  It works on a flat
+coordinate vector with a projection onto the admissible set (here vech(q),
+off-diagonal entries scaled by sqrt(2) so the Euclidean norm is the
+Frobenius norm, projected onto the PSD cone).  It runs
 Anderson acceleration (type II, window ``ANDERSON_WINDOW``, mixing
 ``SolveSettings.damping``; Walker & Ni 2011) and falls back to the damped
 step q <- (1-beta) q + beta T(q) when an accelerated run stalls.

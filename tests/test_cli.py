@@ -329,6 +329,49 @@ def test_exit_code_input_error(rademacher_file, tmp_path, capsys):
     assert "nodes_per_dim <= 300, got 400" in capsys.readouterr().err
 
 
+def test_usage_errors_exit_input(rademacher_file, capsys):
+    # argparse's own exit code 2 is the non-convergence code: a malformed
+    # value, a missing required flag or an unknown flag is an input error
+    for argv, message in ((["solve", "--model", rademacher_file, "--tol", "abc"],
+                           "argument --tol: invalid float value: 'abc'"),
+                          (["oracle", "--model", rademacher_file],
+                           "the following arguments are required: --n"),
+                          (["solve", "--model", rademacher_file, "--bogus", "1"],
+                           "unrecognized arguments: --bogus 1"),
+                          (["solve"], "the following arguments are required: --model"),
+                          (["no-such-command"], "invalid choice: 'no-such-command'")):
+        capsys.readouterr()
+        assert cli.run(argv) == cli.EXIT_INPUT
+        assert message in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["solve", "--help"])
+    assert exc.value.code == 0
+
+
+def test_flags_registered_only_where_read(rademacher_file, tmp_path):
+    # a flag a command does not read is refused, not silently ignored
+    rot = tmp_path / "rot.json"
+    rot.write_text(ROTINV_DOC)
+    for argv in (["rotinv-solve", "--model", str(rot), "--tol", "1e-3"],
+                 ["oracle", "--model", rademacher_file, "--n", "2", "--damping", "0.3"],
+                 ["oracle", "--model", rademacher_file, "--n", "2", "--quad-nodes", "5"],
+                 ["potential", "--model", rademacher_file, "--r", "[[1.0]]", "--q", "[[0.5]]",
+                  "--max-iters", "5"],
+                 ["check-hypothesis", "--model", rademacher_file, "--seed", "1"],
+                 ["check-hypothesis", "--model", rademacher_file, "--quad-nodes", "5"],
+                 ["rotinv-spectrum", "--factors", "0", "--n", "5", "--alpha", "1.0",
+                  "--mc-samples", "5"],
+                 ["rotinv-spectrum", "--factors", "0", "--n", "5", "--alpha", "1.0",
+                  "--model", str(rot)]):
+        assert cli.run(argv) == cli.EXIT_INPUT, argv
+    parser = cli.build_parser()
+    for argv in (["solve", "--model", "m", "--damping", "0.3", "--tol", "1e-9",
+                  "--max-iters", "9", "--quad-nodes", "5", "--mc-samples", "5", "--seed", "1"],
+                 ["rotinv-solve", "--model", "m", "--quad-nodes", "5", "--seed", "1"],
+                 ["oracle", "--model", "m", "--n", "2", "--mc-samples", "5", "--seed", "1"]):
+        parser.parse_args(argv)
+
+
 def test_rotinv_solve_artifact_matches_library_defaults(tmp_path):
     tau3 = ('{"alpha": 1.0, "lambda": 1.0, '
             '"prior": {"discrete": {"atoms": [[1.0], [-1.0]], "weights": [0.5, 0.5]}}, '
@@ -343,7 +386,7 @@ def test_rotinv_solve_artifact_matches_library_defaults(tmp_path):
         assert json.loads(out.read_text()) == {
             "value": sol.value, "e_star": sol.e_star, "r_star": sol.r_star,
             "fixed_points": [{"e": p.e, "r": p.r, "residual": p.residual,
-                              "converged": p.converged, "origin": p.origin}
+                              "converged": p.converged, "stable": p.stable}
                              for p in sol.fixed_points]}
 
 
@@ -420,6 +463,12 @@ def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency: importing the CLI (and with it
     # every module of the package) must not pull in any part of scipy
     assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # rotinv.scalar_roots reaches numpy.polynomial when it runs: a
+    # module-level import would load it at every CLI start
+    assert _loaded_by_cli_import("numpy.polynomial") == "[]"
 
 
 def test_cli_import_loads_no_numpy_random():

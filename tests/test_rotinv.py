@@ -1,15 +1,15 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from rslimits import priors, rotinv, solver
-from rslimits.quadrature import gauss_hermite
+from rslimits import priors, rotinv
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_VALUE = 0.2902288194345509        # ln(1 + r) - r^2/2 at the fixed point
 TWO_ATOM = rotinv.SpectralDistribution([1.0, 4.0], [0.5, 0.5])
-GH63 = gauss_hermite(63)
 FP_TOL = 1e-7      # fixed-point tolerance of tests/test_solver.py
 
 # 127-node oracle for the scalar Rademacher channel (independent of package code)
@@ -20,6 +20,21 @@ _Z, _W = np.sqrt(2.0) * _gx, _gw / np.sqrt(np.pi)
 def golden_model():
     return rotinv.RotInvModel(1.0, 1.0, priors.gaussian([[1.0]]),
                               rotinv.marchenko_pastur_unit())
+
+
+# the sparse prior {0, +-1/sqrt(eps)} at eps = 0.1 (rho = 1) has three fixed
+# points at alpha = 0.3 for lam = 30 and 100
+_EPS = 0.1
+SPARSE = priors.discrete([[0.0], [1.0 / np.sqrt(_EPS)], [-1.0 / np.sqrt(_EPS)]],
+                         [1.0 - _EPS, _EPS / 2.0, _EPS / 2.0])
+GAMMA_MODELS = {
+    "c8": golden_model(),
+    "tau3": rotinv.RotInvModel(1.0, 1.0, priors.rademacher(),
+                               rotinv.SpectralDistribution([0.2, 1.0, 3.0], [0.3, 0.4, 0.3])),
+    "two-atom": rotinv.RotInvModel(0.9, 1.4, priors.rademacher(), TWO_ATOM),
+    "sparse-lam30": rotinv.RotInvModel(0.3, 30.0, SPARSE, rotinv.marchenko_pastur_unit()),
+    "sparse-lam100": rotinv.RotInvModel(0.3, 100.0, SPARSE, rotinv.marchenko_pastur_unit()),
+}
 
 
 def test_golden_value_is_frozen_correctly():
@@ -129,16 +144,6 @@ def test_state_evolution_golden():
     assert pts[0].residual < 1e-9
 
 
-def test_state_evolution_origin_does_not_depend_on_tol():
-    # a start that reaches a grid root's fixed point is merged into the grid
-    # root (refined to width 1e-15), so neither the point nor its label
-    # follows the tolerance the starts ran at
-    m = golden_model()
-    tight = rotinv.state_evolution(m, solver.SolveSettings(tol=1e-12))
-    assert tight == rotinv.state_evolution(m)
-    assert [p.origin for p in tight] == ["grid"]
-
-
 def test_state_evolution_vanishing_snr():
     m = rotinv.RotInvModel(1.0, 1e-8, priors.gaussian([[1.0]]),
                            rotinv.marchenko_pastur_unit())
@@ -212,8 +217,8 @@ def test_solve_rotinv_golden():
 
 
 def test_solve_rotinv_bracket_refine_budget(monkeypatch):
-    # a 201-point grid and, per sign-change bracket, an Illinois regula falsi
-    # refine (bisection to 1e-15 took about 44 map calls per bracket)
+    # a Chebyshev proxy of degree 16-32 on [0, rho] plus one Illinois refine
+    # per bracket (a 201-point grid with its refines took about 225 map calls)
     calls = []
     se_map = rotinv._se_map
 
@@ -222,38 +227,88 @@ def test_solve_rotinv_bracket_refine_budget(monkeypatch):
         return se_map(*args)
 
     monkeypatch.setattr(rotinv, "_se_map", counting)
-    sol = rotinv.solve_rotinv(golden_model())
-    assert len(calls) <= 235
+    for name in ("tau3", "c8"):
+        calls.clear()
+        sol = rotinv.solve_rotinv(GAMMA_MODELS[name])
+        assert len(calls) <= 40, name
     npt.assert_allclose(sol.value, GOLDEN_VALUE, atol=FP_TOL)
     npt.assert_allclose(sol.e_star, GOLDEN, atol=FP_TOL)
     npt.assert_allclose(sol.r_star, GOLDEN, atol=FP_TOL)
 
 
-def test_engine_start_maps_once_per_iteration(monkeypatch):
-    # an engine start calls _se_map only through the fixed-point engine: r
-    # at the returned E comes from the R-transform, not from one more map call
-    maps, engine_calls = [], []
-    se_map, fixed_point = rotinv._se_map, rotinv.fixed_point
+def _sign_scan(psi, a, b, points=2001):
+    """Brackets [x_i, x_i+1] of the sign changes and exact zeros of psi on a uniform grid."""
+    xs = np.linspace(a, b, points)
+    v = np.array([psi(x) for x in xs])
+    return [(x, x) for x, fx in zip(xs, v) if fx == 0.0] + [
+        (xs[i], xs[i + 1]) for i in np.flatnonzero(v[:-1] * v[1:] < 0.0)]
 
-    def counting_map(*args):
-        maps.append(1)
-        return se_map(*args)
 
-    def counting_engine(f, *args):
-        def counted(x):
-            engine_calls.append(1)
-            return f(x)
-        return fixed_point(counted, *args)
-
-    monkeypatch.setattr(rotinv, "_se_map", counting_map)
-    monkeypatch.setattr(rotinv, "fixed_point", counting_engine)
-    m = rotinv.RotInvModel(0.9, 1.4, priors.rademacher(), TWO_ATOM)
-    for e0 in (m.rho(), 1e-3 * m.rho()):
-        maps.clear()
-        engine_calls.clear()
-        p = rotinv._se_run(m, e0, None, GH63, "start")
-        assert engine_calls and len(maps) == len(engine_calls)
+@pytest.mark.parametrize("name", list(GAMMA_MODELS))
+def test_gamma_matches_dense_sign_scan(name):
+    # every root of psi(E) = E - mmse(lam R(-E lam)) that a 2001-point scan
+    # brackets is in Gamma, and Gamma holds nothing else
+    m = GAMMA_MODELS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma = rotinv.state_evolution(m)
+    brackets = sorted(_sign_scan(lambda e: e - rotinv._se_map(m, e, None), 0.0, m.rho()))
+    assert len(gamma) == len(brackets)
+    for p, (lo, hi) in zip(gamma, brackets):
+        assert p.converged and lo <= p.e <= hi and p.residual <= 1e-14
         assert p.r == m.lam * rotinv.r_transform(m, p.e * m.lam)
+    # stable and unstable roots alternate along E, starting and ending stable
+    assert [p.stable for p in gamma] == [i % 2 == 0 for i in range(len(gamma))]
+
+
+def test_gamma_three_root_sparse_models():
+    for lam, want in ((30.0, (6.7152e-6, 0.22796, 0.53520)), (100.0, (0.0, 0.33213, 0.46627))):
+        gamma = rotinv.state_evolution(GAMMA_MODELS[f"sparse-lam{lam:g}"])
+        npt.assert_allclose([p.e for p in gamma], want, rtol=1e-4, atol=1e-12)
+
+
+@pytest.mark.parametrize("centre", [0.5, 0.3])
+def test_scalar_roots_close_pair_within_one_sample_spacing(centre):
+    # roots centre -+ 3.2e-5: at 0.3 no Chebyshev-Lobatto sample lies between
+    # them (the degree-8 samples resolve the quadratic), the midpoint of the
+    # two proxy roots does; at 0.5 the centre sample separates them
+    roots = rotinv.scalar_roots(lambda x: (x - centre) ** 2 - 1e-9, 0.0, 1.0)
+    npt.assert_allclose([x for x, _, _ in roots], centre + np.array([-1.0, 1.0]) * np.sqrt(1e-9),
+                        atol=1e-13)
+    assert [c for _, _, c in roots] == [-1, 1]
+
+
+@pytest.mark.parametrize("centre", [0.5, 0.3])
+def test_scalar_roots_flags_double_root(centre):
+    # psi touches zero without crossing: reported once, with crossing 0 and a warning
+    with pytest.warns(RuntimeWarning, match="near-double root"):
+        roots = rotinv.scalar_roots(lambda x: (x - centre) ** 2, 0.0, 1.0)
+    assert len(roots) == 1
+    x, fx, crossing = roots[0]
+    assert crossing == 0 and abs(x - centre) <= 1e-7 and fx <= 1e-14
+
+
+def test_scalar_roots_many_roots_and_endpoint_zero():
+    roots = rotinv.scalar_roots(lambda x: np.sin(40.0 * x), 0.0, 1.0)
+    npt.assert_allclose([x for x, _, _ in roots], np.pi / 40.0 * np.arange(13), atol=1e-14)
+    assert [c for _, _, c in roots] == [1, -1] * 6 + [1]
+
+
+def test_scalar_roots_refuses_what_no_proxy_resolves():
+    with pytest.raises(RuntimeError, match="no Chebyshev proxy resolves psi"):
+        rotinv.scalar_roots(lambda x: np.sign(x - 0.37) + 0.5, 0.0, 1.0)
+    with pytest.raises(ValueError, match="empty interval"):
+        rotinv.scalar_roots(lambda x: x, 1.0, 1.0)
+
+
+def test_solve_rotinv_skips_flagged_points(monkeypatch):
+    # a flagged near-double root is reported in Gamma but never selected, even
+    # where its potential is the least (here the golden fixed point, flagged)
+    monkeypatch.setattr(rotinv, "scalar_roots",
+                        lambda psi, a, b: [(0.1, 0.01, 1), (GOLDEN, 0.0, 0)])
+    sol = rotinv.solve_rotinv(golden_model())
+    assert [(p.converged, p.stable) for p in sol.fixed_points] == [(True, True), (False, False)]
+    assert sol.e_star == 0.1 and sol.value > GOLDEN_VALUE + 0.01
 
 
 def test_model_rejects_non_finite_scalars():

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rslimits import channel, priors, psdlinalg, solver
-from rslimits.potential import ModelSpec, check_hypothesis, potential
+from rslimits import channel, priors, psdlinalg, rotinv, solver
+from rslimits.potential import (ModelSpec, check_hypothesis, potential,
+                                potential_at_stationary_q, r_star)
 from rslimits.quadrature import gauss_hermite
 
 import se_reference
@@ -261,6 +264,33 @@ def test_solve_f_below_threshold_value():
     q_grid, f_grid = scalar_grid_solve(priors.rademacher(), 0.0, np.sqrt(0.45))
     npt.assert_allclose(f_grid, 0.225, atol=1e-7)
     assert q_grid < 1e-4
+
+
+D1_SPARSE = priors.discrete([[0.0], [1.0 / np.sqrt(0.05)], [-1.0 / np.sqrt(0.05)]],
+                            [0.95, 0.025, 0.025])
+
+
+@pytest.mark.parametrize("prior, lam, s, roots", [
+    (priors.rademacher(), 0.5, 0.05, 1), (priors.rademacher(), 1.5, 0.05, 1),
+    (priors.rademacher(), 2.0, 0.05, 1), (priors.rademacher(), 4.0, 0.05, 1),
+    (D1_SPARSE, 1.0, 0.0, 3)])
+def test_solve_f_is_least_potential_over_all_d1_fixed_points(prior, lam, s, roots):
+    # d = 1 oracle: every root of psi(q) = q - (rho - mmse(S + r*(q))) on
+    # [0, rho], stable or not, from rotinv.scalar_roots; solve_f's value is
+    # the least potential over them (the sparse model has roots 0, 0.0230 and
+    # 0.8663)
+    m = ModelSpec(1, ([[np.sqrt(lam / 2.0)]],), [[s]], prior)
+    rho = m.rho_bar()[0, 0]
+
+    def psi(q):
+        return q - (rho - channel.mmse_matrix(prior, m.s, r_star(m, [[q]]), GH63)[0, 0])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = rotinv.scalar_roots(psi, 0.0, rho)
+    assert len(found) == roots and all(c != 0 for _, _, c in found)
+    least = min(potential_at_stationary_q(m, [[q]], GH63) for q, _, _ in found)
+    assert abs(solver.solve_f(m, quad=GH63).f_value - least) <= 1e-12
 
 
 def _recording_se_iterate(monkeypatch):
