@@ -21,9 +21,11 @@ state-evolution step) for the posterior moments.
 Validation policy: :func:`mutual_information` and :func:`mmse_matrix` check
 ``s`` and ``r`` (symmetric PSD, d x d) and pass S + r to the private cores
 ``_mi_core`` / ``_mmse_core``, which check nothing and take the root
-A = (S + r)^{1/2} themselves; the state-evolution loop, the potential and
-the rotationally invariant module call the cores directly.  ``quad=None``
-is ``default_scheme`` at the prior's dimension, read where nodes are built.
+A = (S + r)^{1/2} themselves.  The package calls the cores directly on
+matrices checked where they entered: the state-evolution loop, ``sweep`` and
+``predict_mmse`` (solver), the potential and the rotationally invariant
+module.  ``quad=None`` is ``default_scheme`` at the prior's dimension, read
+where nodes are built.
 """
 
 import numpy as np

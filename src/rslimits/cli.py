@@ -142,7 +142,7 @@ def parse_model(text):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
     d = _need(doc, "d", "")
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:   # JSON true is a bool
         raise ConfigError("field 'd' must be a positive integer")
     couplings_doc = _need(doc, "couplings", "")
     if not isinstance(couplings_doc, list):
@@ -185,7 +185,8 @@ def parse_rotinv_model(text):
     alpha = _need(doc, "alpha", "")
     lam = _need(doc, "lambda", "")
     for key, value in (("alpha", alpha), ("lambda", lam)):
-        if not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not 0 < value < math.inf):
             raise ConfigError(f"field '{key}' must be a finite positive number")
     prior = _parse_prior(_need(doc, "prior", ""), "prior")
     tau_doc = _need(doc, "tau", "")
@@ -193,9 +194,13 @@ def parse_rotinv_model(text):
     weights = _as_float_array(_need(tau_doc, "weights", "tau"), "tau.weights")
     try:
         tau = rotinv.SpectralDistribution(atoms, weights)
-        return rotinv.RotInvModel(float(alpha), float(lam), prior, tau)
     except ValueError as exc:
         raise ConfigError(f"field 'tau': {exc}") from None
+    try:
+        # alpha and lambda are checked above: RotInvModel's only objection left is to the prior
+        return rotinv.RotInvModel(float(alpha), float(lam), prior, tau)
+    except ValueError as exc:
+        raise ConfigError(f"field 'prior': {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ class ModelSpec:
             b = np.asarray(b, dtype=np.float64)
             if b.shape != (self.d, self.d):
                 raise ValueError(f"coupling {i} must be {self.d}x{self.d}, got {b.shape}")
-            psdlinalg.check_finite(b, f"coupling {i}")
+            if not np.all(np.isfinite(b)):
+                raise ValueError(f"coupling {i} contains non-finite entries")
             b.setflags(write=False)
             bs.append(b)
         object.__setattr__(self, "couplings", tuple(bs))
@@ -104,20 +105,19 @@ def r_star(model, q):
     return psdlinalg.sym(out)
 
 
-def potential(model, r, q, quad=None, check_interval=True):
+def potential(model, r, q, quad=None):
     """Evaluate I(r, q); returns the three-term decomposition.
 
-    q outside the Loewner interval [0, rho_bar] is accepted (the
-    ``potential`` subcommand evaluates any symmetric q a user passes) but
-    flagged with a warning.
+    q outside the Loewner interval [0, rho_bar] (at tolerance 1e-7) is
+    accepted, since the ``potential`` subcommand evaluates any symmetric q a
+    user passes, but always flagged with a RuntimeWarning.
     """
     r = psdlinalg.check_psd(r, name="r")
     q = psdlinalg.check_symmetric(q, name="q")
     if r.shape != (model.d, model.d) or q.shape != (model.d, model.d):
         raise ValueError(f"r and q must be {model.d}x{model.d}")
     rho = model.rho_bar()
-    if check_interval and not (psdlinalg.is_psd(q, tol=1e-7)
-                               and psdlinalg.loewner_leq(q, rho, tol=1e-7)):
+    if not (psdlinalg.is_psd(q, tol=1e-7) and psdlinalg.loewner_leq(q, rho, tol=1e-7)):
         warnings.warn("q lies outside the interval [0, rho_bar]", RuntimeWarning)
     channel_term = _mi_core(model.prior, model.s + r, quad)
     linear_term = 0.5 * _trace_prod(r, q - rho)

@@ -38,9 +38,9 @@ class Prior:
                 raise ValueError("atoms must be (K, d) with one weight per atom")
             if not np.all(np.isfinite(atoms)):
                 raise ValueError("atoms must be finite (bounded support)")
-            if np.any(weights < -WEIGHT_TOL):
+            if not np.all(weights >= -WEIGHT_TOL):     # NaN fails this and the sum test
                 raise ValueError("weights must be nonnegative")
-            if abs(weights.sum() - 1.0) > WEIGHT_TOL:
+            if not abs(weights.sum() - 1.0) <= WEIGHT_TOL:
                 raise ValueError(f"weights must sum to 1 (got {float(weights.sum())!r})")
             object.__setattr__(self, "atoms", atoms)
             object.__setattr__(self, "weights", np.maximum(weights, 0.0))

@@ -14,9 +14,11 @@ Conventions used throughout the package:
 
 Validation policy: each input is checked once, where it enters the program
 (constructors such as ``Prior`` and ``ModelSpec``, CLI parsing, and public
-functions that take a raw matrix), by :func:`check_symmetric`,
-:func:`check_psd` or :func:`is_psd`.  :func:`sqrtm_psd` assumes symmetric PSD
-input and checks nothing, so hot loops on checked matrices pay no validation.
+functions that take a raw matrix) by the one checker :func:`check_symmetric`
+(square, finite, symmetric at ``DEFAULT_PSD_TOL``), alone or before the cone
+test of :func:`check_psd` and :func:`is_psd`.  The primitives :func:`sym`,
+:func:`vech`, :func:`project_psd` and :func:`sqrtm_psd` trust their input and
+check nothing, so hot loops on checked matrices pay no validation.
 """
 
 import functools
@@ -26,31 +28,21 @@ import numpy as np
 DEFAULT_PSD_TOL = 1e-9
 
 
-def as_matrix(m):
-    """Coerce to a float64 square 2-d array (no copy when possible)."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def check_finite(m, name="matrix"):
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-
-
 def sym(m):
     """Exact symmetrization (m + m.T)/2."""
-    a = as_matrix(m)
+    a = np.asarray(m, dtype=np.float64)
     return 0.5 * (a + a.T)
 
 
-def check_symmetric(m, tol=1e-9, name="matrix"):
-    """Raise if ``m`` deviates from symmetry by more than ``tol`` (relative)."""
-    a = as_matrix(m)
-    check_finite(a, name)
+def check_symmetric(m, name="matrix"):
+    """Symmetrized ``m``; raises unless square, finite and symmetric (relative tol)."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite entries")
     dev = np.abs(a - a.T).max()
-    if dev > tol * max(1.0, np.abs(a).max()):
+    if dev > DEFAULT_PSD_TOL * max(1.0, np.abs(a).max()):
         raise ValueError(f"{name} is not symmetric (max asymmetry {dev:.3e})")
     return sym(a)
 
@@ -70,7 +62,7 @@ def vech(m):
 
     ``[[a, b], [b, c]] -> (a, b, c)``.
     """
-    a = as_matrix(m)
+    a = np.asarray(m, dtype=np.float64)
     rows, cols = _triu_indices(a.shape[0])
     # (cols, rows) walks the lower triangle column by column
     return a[cols, rows]
@@ -106,16 +98,10 @@ def duplication_matrix(d):
     return D
 
 
-def _eigvalsh(a):
-    # 1x1 fast path: the generic LAPACK call dominates scalar-model hot loops
-    if a.shape == (1, 1):
-        return a.ravel()
-    return np.linalg.eigvalsh(a)
-
-
 def _cone_test(a, tol):
     """(passes, min eigenvalue) of the relative cone test on a symmetric ``a``."""
-    w = _eigvalsh(a)
+    # 1x1 fast path: the generic LAPACK call dominates scalar-model hot loops
+    w = a.ravel() if a.shape == (1, 1) else np.linalg.eigvalsh(a)
     min_eig = w.min()
     return bool(min_eig >= -tol * max(1.0, np.abs(w).max())), min_eig
 
@@ -140,7 +126,6 @@ def project_psd(m):
     Idempotent; returns ``m`` unchanged (within rounding) when already PSD.
     """
     a = sym(m)
-    check_finite(a)
     if a.shape == (1, 1):
         return a if a[0, 0] >= 0.0 else np.zeros((1, 1))
     w, v = np.linalg.eigh(a)
@@ -152,8 +137,8 @@ def project_psd(m):
 
 def loewner_leq(a, b, tol=DEFAULT_PSD_TOL):
     """Loewner order test ``a <= b``, i.e. b - a is PSD at ``tol``."""
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return is_psd(b - a, tol)
@@ -169,7 +154,7 @@ def sqrtm_psd(m):
     Gram product.  Singular input is handled naturally (zero directions
     stay zero).
     """
-    a = as_matrix(m)
+    a = np.asarray(m, dtype=np.float64)
     if a.shape == (1, 1):
         return np.sqrt(np.maximum(a, 0.0))
     w, v = np.linalg.eigh(a)

@@ -58,7 +58,7 @@ class SpectralDistribution:
             raise ValueError("atoms and weights must be equally sized and nonempty")
         if np.any(atoms < 0) or not np.all(np.isfinite(atoms)):
             raise ValueError("spectral atoms must be finite and nonnegative")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):   # NaN fails
             raise ValueError("spectral weights must be a probability vector")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)

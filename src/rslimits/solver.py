@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import psdlinalg
-from .channel import _mmse_core, mmse_matrix
+from .channel import _mmse_core
 from .potential import check_hypothesis, potential, potential_at_stationary_q, r_star
 
 UNINFORMATIVE_SCALE = 1e-3   # strict zero can be a symmetry-pinned fixed point
@@ -221,9 +221,13 @@ def se_iterate(model, q0, settings=None, quad=None, init_label="custom"):
     ``max_iters``); the stability certificate adds d(d+1)/2 uncounted calls
     and its radius is ``stability_radius`` (above 1: an unstable point).
     Non-convergence is reported through ``converged=False`` with the last
-    evaluated iterate, not an exception.  ``q0`` is checked once, by its
-    projection onto the PSD cone; the loop validates nothing.
+    evaluated iterate, not an exception.  ``q0`` is checked once, by
+    :func:`psdlinalg.check_symmetric` and a d x d shape test, and projected
+    onto the PSD cone by :func:`fixed_point`; the loop validates nothing.
     """
+    q0 = psdlinalg.check_symmetric(q0, name="q0")
+    if q0.shape != (model.d, model.d):
+        raise ValueError(f"q0 must be {model.d}x{model.d}, got {q0.shape}")
     rho = model.rho_bar()
     scale = psdlinalg.vech(np.sqrt(2.0) - (np.sqrt(2.0) - 1.0) * np.eye(model.d))
 
@@ -237,7 +241,6 @@ def se_iterate(model, q0, settings=None, quad=None, init_label="custom"):
     def project(x):
         return scale * psdlinalg.vech(psdlinalg.project_psd(to_q(x)))
 
-    q0 = psdlinalg.project_psd(np.asarray(q0, dtype=np.float64))
     x, residual, iterations, converged, radius = fixed_point(
         step, scale * psdlinalg.vech(q0), settings, project)
     q = to_q(x)
@@ -298,7 +301,7 @@ def solve_infsup(model, settings=None, quad=None):
             "positive-coupling hypothesis violated "
             f"(min eigenvalue {report.min_eigenvalue:.3e}): the inner sup over q "
             "is not concave, refusing the inf-sup route")
-    scored = [(potential(model, b.r_star, b.q_star, quad, check_interval=False).value, b)
+    scored = [(potential(model, b.r_star, b.q_star, quad).value, b)
               for b in _branches(model, settings, quad)]
     value, best = min(scored, key=lambda vb: vb[0])
     return replace(best, f_value=value, init_label=f"infsup:{best.init_label}")
@@ -368,12 +371,12 @@ def predict_mmse(model, settings=None, quad=None, allow_singular=False):
     ties = [b for b in branches
             if b is not best and abs(b.f_value - best.f_value) <= DEGENERACY_VALUE_TOL]
     degenerate = bool(ties)
-    mmse = mmse_matrix(model.prior, model.s, best.r_star, quad)
+    mmse = _mmse_core(model.prior, model.s + best.r_star, quad)
     bounds = ()
     if degenerate:
         warnings.warn("optimum is numerically non-unique: reporting per-branch "
                       "MMSE matrices as subdifferential bounds", RuntimeWarning)
-        bounds = tuple(mmse_matrix(model.prior, model.s, r.r_star, quad)
+        bounds = tuple(_mmse_core(model.prior, model.s + r.r_star, quad)
                        for r in (best, *ties))
     grad = _symmetric_fd_gradient(model, settings, quad, best.q_star)
     gap = psdlinalg.frobenius(grad - 0.5 * mmse)
@@ -456,7 +459,7 @@ def sweep(model, path, grid, settings=None, quad=None):
             m = path.apply(model, float(value))
             extra = (("warm-start", warm_q),) if warm_q is not None else ()
             res = solve_f(m, settings, quad, extra_inits=extra)
-            mmse = mmse_matrix(m.prior, m.s, res.r_star, quad)
+            mmse = _mmse_core(m.prior, m.s + res.r_star, quad)
             rows.append(SweepRow(
                 param=float(value),
                 f_value=res.f_value,

@@ -54,6 +54,10 @@ def test_prior_validation():
         priors.discrete([[1.0], [-1.0]], [0.6, 0.6])
     with pytest.raises(ValueError):
         priors.discrete([[np.inf]], [1.0])
+    # NaN weights compare False both ways: each test must still refuse them
+    for weights in ([np.nan, np.nan], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            priors.discrete([[1.0], [-1.0]], weights)
     with pytest.raises(ValueError):
         priors.gaussian([[0.0, 1.0], [1.0, 0.0]])
 

@@ -243,9 +243,10 @@ def test_cached_parser_matches_fresh_parser(rademacher_file, tmp_path, monkeypat
 
 
 def test_rotinv_non_finite_scalars_refused(tmp_path, capsys):
-    # json reads NaN and +-Infinity literals: each is refused by name, exit 1
+    # json reads NaN and +-Infinity literals, and true as a bool (an int in
+    # Python): each is refused by name, exit 1
     for key in ("alpha", "lambda"):
-        for literal in ("NaN", "Infinity", "-Infinity"):
+        for literal in ("NaN", "Infinity", "-Infinity", "true"):
             doc = json.loads(ROTINV_DOC)
             text = json.dumps(doc).replace(f'"{key}": 1.0', f'"{key}": {literal}')
             assert literal in text
@@ -253,6 +254,18 @@ def test_rotinv_non_finite_scalars_refused(tmp_path, capsys):
             model.write_text(text)
             assert cli.run(["rotinv-solve", "--model", str(model)]) == cli.EXIT_INPUT
             assert f"field '{key}' must be a finite positive number" in capsys.readouterr().err
+
+
+def test_rotinv_prior_error_names_prior(tmp_path, capsys):
+    # a 2-d prior is the model's objection, not the spectral law's
+    doc = json.loads(ROTINV_DOC)
+    doc["prior"] = {"gaussian": {"cov": [[1.0, 0.0], [0.0, 1.0]]}}
+    model = tmp_path / "rot_2d.json"
+    model.write_text(json.dumps(doc))
+    assert cli.run(["rotinv-solve", "--model", str(model)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "field 'prior': the rotationally invariant module is scalar" in err
+    assert "'tau'" not in err
 
 
 def test_rotinv_subcommands(tmp_path):
@@ -275,6 +288,11 @@ def test_exit_code_input_error(rademacher_file, tmp_path, capsys):
                    '"prior": {"discrete": {"atoms": [[1.0]], "weights": [0.9]}}}')
     assert cli.run(["solve", "--model", str(bad)]) == cli.EXIT_INPUT
     assert cli.run(["solve", "--model", str(tmp_path / "missing.json")]) == cli.EXIT_INPUT
+    # JSON true is a bool, an int in Python: not a dimension
+    capsys.readouterr()
+    bad.write_text(RADEMACHER_DOC.replace('"d": 1', '"d": true'))
+    assert cli.run(["solve", "--model", str(bad)]) == cli.EXIT_INPUT
+    assert "field 'd' must be a positive integer" in capsys.readouterr().err
     for path, grid in [("coupling:0", "0:1:0"), ("coupling:0", "0:inf:1"),
                        ("s:3,3", "0,1"), ("coupling:5", "0,1"),
                        ("coupling:0", "0:1:1e-320"), ("coupling:0", "0:1e6:1"),

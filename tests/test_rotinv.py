@@ -318,6 +318,11 @@ def test_model_rejects_non_finite_scalars():
             rotinv.RotInvModel(bad, 1.0, prior, tau)
         with pytest.raises(ValueError, match="lambda must be finite and positive"):
             rotinv.RotInvModel(1.0, bad, prior, tau)
+    # NaN spectral weights compare False both ways: the probability test must
+    # still refuse them
+    for weights in ([np.nan], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="spectral weights must be a probability vector"):
+            rotinv.SpectralDistribution([1.0] * len(weights), weights)
 
 
 def test_solve_rotinv_vanishing_snr():

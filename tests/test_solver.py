@@ -136,6 +136,17 @@ def test_se_iterate_loop_runs_unchecked(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_se_iterate_refuses_bad_q0():
+    # q0 is checked where it enters, before any projection: a NaN start must
+    # not be clipped into a "converged" run, and a 1x1 start must not be
+    # broadcast to a d = 2 state
+    with pytest.raises(ValueError, match="non-finite"):
+        solver.se_iterate(rademacher_model(1.5), [[np.nan]], quad=GH63)
+    m = ModelSpec(2, (np.eye(2),), np.zeros((2, 2)), PRODUCT_PM1)
+    with pytest.raises(ValueError, match="q0 must be 2x2"):
+        solver.se_iterate(m, [[1.0]], quad=GH63)
+
+
 @pytest.mark.parametrize("lam, q_damped", [(1.05, 0.049086659325136985),
                                            (2.0, 0.6184475351921406)])
 def test_se_iterate_leaves_unstable_zero(lam, q_damped):
@@ -393,7 +404,7 @@ def test_infsup_reports_the_winning_branch(rng, monkeypatch):
     assert res.iterations > 1 and res.residual > 0.0
     npt.assert_array_equal(res.q_star, res_f.q_star)
     npt.assert_array_equal(res.r_star, res_f.r_star)
-    assert res.f_value == potential(m, res.r_star, res.q_star, GH63, check_interval=False).value
+    assert res.f_value == potential(m, res.r_star, res.q_star, GH63).value
     assert abs(res.f_value - res_f.f_value) <= 1e-12
 
 
@@ -521,7 +532,7 @@ def test_wishart_embedding_cross_block():
     r = r_star(m, np.diag([qu, qv]))
     # u-block snr comes from the v-overlap and vice versa
     npt.assert_allclose(r, np.diag([gamma**2 * qv, gamma**2 * qu]), atol=1e-14)
-    pv = potential(m, np.zeros((2, 2)), np.diag([qu, qv]), GH63, check_interval=False)
+    pv = potential(m, np.zeros((2, 2)), np.diag([qu, qv]), GH63)
     rho_u = rho_v = 1.0
     npt.assert_allclose(pv.quartic_term,
                         0.5 * gamma**2 * (rho_u * rho_v - qu * qv), atol=1e-12)
