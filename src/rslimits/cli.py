@@ -99,11 +99,24 @@ def _join(path, key):
     return f"{path}.{key}" if path else key
 
 
+def _leaves(value):
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 def _as_float_array(value, path, shape=None):
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:   # OverflowError: an int past 1e308
         raise ConfigError(f"field '{path}' is not a numeric array: {exc}") from None
+    # numpy reads true as 1.0 and "2" as 2.0, also inside a list of numbers;
+    # walked once the array is regular, so at most 64 lists deep
+    for leaf in _leaves(value):
+        if isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise ConfigError(f"field '{path}' holds {json.dumps(leaf)}, not a number")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"field '{path}' contains non-finite entries")
     if shape is not None and arr.shape != shape:

@@ -347,6 +347,62 @@ def test_exit_code_input_error(rademacher_file, tmp_path, capsys):
     assert "nodes_per_dim <= 300, got 400" in capsys.readouterr().err
 
 
+def test_matrix_fields_refuse_non_numbers(rademacher_file, tmp_path, capsys):
+    # numpy reads JSON true as 1.0 and a string as its number, also inside a
+    # list of numbers: each is refused by field name at any depth, exit 1
+    rot = json.loads(ROTINV_DOC)
+    cases = []
+    for field, value in (("couplings", [[[True]]]), ("s", [[False]]), ("s", [[0.2, True]]),
+                         ("couplings", [[[1.0]], [[False]]]), ("s", [["0.2"]]),
+                         ("s", [[10 ** 400]])):
+        doc = json.loads(RADEMACHER_DOC)
+        doc[field] = value
+        cases.append((doc, field if field == "s" else f"{field}[{len(value) - 1}]", "solve"))
+    for atoms in ([[True], [-1.0]], [[1.0], [None]]):
+        doc = json.loads(RADEMACHER_DOC)
+        doc["prior"]["discrete"]["atoms"] = atoms
+        cases.append((doc, "prior.discrete.atoms", "solve"))
+    rot["tau"]["weights"] = [True]
+    cases.append((rot, "tau.weights", "rotinv-solve"))
+    for i, (doc, field, command) in enumerate(cases):
+        model = tmp_path / f"bad{i}.json"
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.run([command, "--model", str(model)]) == cli.EXIT_INPUT, doc
+        assert f"error: field '{field}'" in capsys.readouterr().err, doc
+    for flag, value in (("--r", "[[true]]"), ("--q", "[[false]]"), ("--r", "[[1.0, true]]")):
+        argv = ["potential", "--model", rademacher_file, "--r", "[[1.0]]", "--q", "[[0.5]]"]
+        argv[argv.index(flag) + 1] = value
+        capsys.readouterr()
+        assert cli.run(argv) == cli.EXIT_INPUT
+        assert f"error: field '{flag}' holds" in capsys.readouterr().err
+
+
+def test_oracle_refuses_negative_seed(rademacher_file, capsys):
+    # refused before the seed is split into entropy words, which would not end
+    for seed in ("-1", str(-2 ** 70)):
+        capsys.readouterr()
+        assert cli.run(["oracle", "--model", rademacher_file, "--n", "3", "--mc-samples", "5",
+                        "--seed", seed]) == cli.EXIT_INPUT
+        assert "error: expected non-negative integer" in capsys.readouterr().err
+
+
+def test_oracle_refuses_replica_count_before_allocating(rademacher_file, capsys):
+    # 1e12 replicas would be an 8 TB result array, 1e8 GBs and hours of draws
+    for count in (oracle.MAX_REPLICAS + 1, 10 ** 8, 10 ** 12):
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert cli.run(["oracle", "--model", rademacher_file, "--n", "3",
+                            "--mc-samples", str(count)]) == cli.EXIT_INPUT
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (f"replica budget exceeded: {count} data samples > {oracle.MAX_REPLICAS}"
+                in capsys.readouterr().err)
+        assert peak < 1_000_000
+
+
 def test_usage_errors_exit_input(rademacher_file, capsys):
     # argparse's own exit code 2 is the non-convergence code: a malformed
     # value, a missing required flag or an unknown flag is an input error

@@ -94,11 +94,12 @@ def test_config_kernels_match_reference():
         rows = np.concatenate([np.repeat(enum.head, m_b, axis=0),
                                np.tile(enum.tail, (len(enum.head), 1))], axis=1)
         npt.assert_array_equal(rows, m.prior.atoms[enum.configs].reshape(len(enum.configs), -1))
-        insts = [oracle.sample_instance(m, n, seed=(8, rep)) for rep in range(3)]
-        L, Q = oracle._data_terms(insts, a_root)
+        # replicas 0..2 of seed 8, drawn as one chunk
+        y_tilde, ys = oracle._draw(m, n, a_root, [8], np.arange(3))[2:]
+        L, Q = oracle._data_terms(m, a_root, y_tilde, ys)
         fast = _kernels.config_quadratic_terms(enum.configs, enum.head, enum.tail, L, Q)
-        assert fast.shape == (len(insts), len(enum.configs))
-        for b in range(len(insts)):
+        assert fast.shape == (3, len(enum.configs))
+        for b in range(3):
             slow = ref.config_quadratic_terms(enum.configs, enum.head, enum.tail,
                                               L[b:b + 1], Q[b:b + 1])
             npt.assert_allclose(fast[b], slow[0], rtol=0, atol=1e-12)

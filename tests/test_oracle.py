@@ -51,29 +51,70 @@ def test_sample_instance_matches_generator_per_stream():
     # bit for bit the draws of a fresh Generator(Philox(SeedSequence(seed +
     # (stream,)))) per stream with Generator.choice, for integer and tuple
     # seeds and non-uniform weights, from sample_instance and from one
-    # request's generator re-keyed seed after seed
+    # chunk's generator re-keyed replica after replica (seed + (rep,))
     prior = priors.discrete([[1.0, 0.5], [-1.0, 0.0], [0.2, -1.2]], [0.5, 0.3, 0.2])
     m = ModelSpec(2, (0.5 * np.eye(2), [[0.3, 0.1], [0.1, -0.2]]), [[0.3, 0.1], [0.1, 0.2]],
                   prior)
-    n = 5
+    n, reps = 5, 3
+    a_root = psdlinalg.sqrtm_psd(m.s)
     seeds = [(0, (0,)), (11, (11,)), (2 ** 40 + 3, (2 ** 40 + 3,)), ((7, 3), (7, 3)),
              ([777, 19, 5], (777, 19, 5))]
-    draw = oracle._drawer(m, n, psdlinalg.sqrtm_psd(m.s))
-    for seed, entropy in seeds:
+
+    def reference(entropy):
         signal_rng, noise_rng = (
             np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy + (stream,))))
             for stream in (0, 1))
         idx = signal_rng.choice(3, size=n, p=prior.weights)
         x = prior.atoms[idx]
-        y_tilde = x @ psdlinalg.sqrtm_psd(m.s) + noise_rng.standard_normal((n, 2))
+        y_tilde = x @ a_root + noise_rng.standard_normal((n, 2))
         ys = [x @ b @ x.T / math.sqrt(n) + noise_rng.standard_normal((n, n)) for b in m.couplings]
-        for inst in (oracle.sample_instance(m, n, seed), draw(seed)):
-            assert inst.signal_idx.dtype == idx.dtype
-            npt.assert_array_equal(inst.signal_idx, idx)
-            npt.assert_array_equal(inst.signal, x)
-            npt.assert_array_equal(inst.y_tilde, y_tilde)
-            for got, want in zip(inst.ys, ys, strict=True):
+        return idx, x, y_tilde, ys
+
+    for seed, entropy in seeds:
+        inst = oracle.sample_instance(m, n, seed)
+        chunk = oracle._draw(m, n, a_root, oracle._entropy_words(seed), np.arange(reps))
+        drawn = [(inst.signal_idx, inst.signal, inst.y_tilde, inst.ys)]
+        drawn += [tuple(a[b] for a in chunk) for b in range(reps)]
+        wanted = [reference(entropy)] + [reference(entropy + (rep,)) for rep in range(reps)]
+        for (idx_got, x_got, y_tilde_got, ys_got), (idx, x, y_tilde, ys) in zip(drawn, wanted,
+                                                                              strict=True):
+            assert idx_got.dtype == idx.dtype
+            npt.assert_array_equal(idx_got, idx)
+            npt.assert_array_equal(x_got, x)
+            npt.assert_array_equal(y_tilde_got, y_tilde)
+            for got, want in zip(ys_got, ys, strict=True):
                 npt.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2 ** 32, 2 ** 40 + 3, 2 ** 64 + 1, (5,), [2 ** 32 + 7, 3],
+                                  (1, 2 ** 64 + 1, 9), [0, 0, 0, 4], (2 ** 40, 1, 2, 3, 4)])
+def test_stream_keys_match_seed_sequence(seed):
+    # numpy's SeedSequence hash over a chunk, bit for bit, for both streams:
+    # one- and multi-word ints, sequences of 1-5 ints (4 or more entropy words
+    # mix words beyond the pool), replicas on both sides of a chunk boundary
+    # and the last replica a request may draw
+    entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    words = oracle._entropy_words(seed)
+    chunk = oracle._chunk_size(2 ** 12, 12)
+    for reps in (np.arange(chunk - 3, chunk), np.arange(chunk, chunk + 4),
+                 np.array([oracle.MAX_REPLICAS - 1])):
+        keys = oracle._stream_keys(words, reps)
+        assert keys.dtype == np.uint64 and keys.shape == (len(reps), 2, 2)
+        for rep, rep_keys in zip(reps, keys, strict=True):
+            for stream in (0, 1):
+                want = np.random.SeedSequence(entropy + (int(rep), stream)).generate_state(
+                    2, np.uint64)
+                npt.assert_array_equal(rep_keys[stream], want)
+
+
+def test_negative_seed_refused():
+    # refused before its words are split, as SeedSequence refuses it
+    m = rademacher_model(2.0)
+    for seed in (-1, (3, -1), [-2 ** 70]):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            oracle.sample_instance(m, 2, seed)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            oracle.replica_average(m, 2, 3, seed)
 
 
 def test_sample_instance_prior_frequencies():
@@ -109,6 +150,11 @@ def test_budget_and_prior_guards():
             oracle.replica_average(m, n, 10, seed=0)
     with pytest.raises(ValueError, match="data_samples"):
         oracle.replica_average(m, 2, -5, seed=0)
+    # the cap admits the n = 14 fit of 4,000 replicas, and keeps a replica
+    # index one 32-bit entropy word
+    assert 4_000 <= oracle.MAX_REPLICAS < 2 ** 32
+    with pytest.raises(ValueError, match="replica budget exceeded"):
+        oracle.replica_average(m, 2, oracle.MAX_REPLICAS + 1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +200,9 @@ def test_score_matches_direct_residual_d2():
     a_root = psdlinalg.sqrtm_psd(m.s)
     enum = oracle._enumerate(m, n, a_root)
     insts = [oracle.sample_instance(m, n, (6, rep)) for rep in range(3)]
-    log_z, ll_signal, means, p = oracle._score(insts, enum, a_root)
+    log_z, ll_signal, means, p = oracle._score(
+        m, enum, a_root, np.stack([inst.signal for inst in insts]),
+        np.stack([inst.y_tilde for inst in insts]), np.stack([inst.ys for inst in insts]))
     for b, inst in enumerate(insts):
         def log_weight(cfg):
             x = m.prior.atoms[list(cfg)]
@@ -286,7 +334,7 @@ def test_nishimori_exact_under_data_quadrature():
                                      y_tilde=y_tilde, ys=(y,))
         summ = oracle.exact_posterior(inst)
         # joint E[X^T <X~>] with the X-average done by the posterior
-        p = oracle._score([inst], enum, a_root)[3][0]
+        p = oracle._score(m, enum, a_root, inst.signal[None], y_tilde[None], y[None, None])[3][0]
         mean_rows = summ.per_row_mean
         for cfg, pc in zip(enum.configs, p):
             x = atoms[cfg]

@@ -11,12 +11,13 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from rslimits import cli
+from rslimits import cli, oracle
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 SCRIPTS = ("run.py", "probe.py", "selftest.py")
@@ -85,6 +86,33 @@ def test_install_uninstall_restores_every_binding(tracer, tmp_path):
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert not changed
+
+
+def test_traced_oracle_records_each_chunk(tracer, tmp_path, monkeypatch):
+    # the traced run times the oracle's normalisation and enumeration by the
+    # names it wraps (oracle.logsumexp, _kernels.config_quadratic_terms): a
+    # scoring path that went around them would read 0 in the benchmark
+    model = tmp_path / "model.json"
+    model.write_text(RADEMACHER_DOC)
+    n, samples = 6, 40
+    monkeypatch.setattr(oracle, "CHUNK_DOUBLES", 15 * (2 * 2 ** n + n * n))
+    chunks = math.ceil(samples / oracle._chunk_size(2 ** n, n))
+    assert chunks == 3
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = cli.run(["oracle", "--model", str(model), "--n", str(n), "--mc-samples",
+                        str(samples), "--out", str(tmp_path / "out.json")])
+    finally:
+        t.uninstall()
+    assert code == 0
+    calls = [t.names[i] for i in t.name]
+    assert calls.count(("oracle", "replica_average")) == 1
+    assert calls.count(("oracle.logsumexp", "logsumexp")) == chunks
+    assert calls.count(("kernels.enum", "config_quadratic_terms")) == chunks
+    metrics = tracer.layer_metrics(t, {t.job_id})
+    assert metrics["kernels.enum_calls"] == chunks
+    assert metrics["oracle.lse_self_s"] > 0
 
 
 def _script_calls(tree):
