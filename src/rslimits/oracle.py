@@ -22,15 +22,18 @@ With A = S^{1/2}, the log weight of a configuration with signal X (n, d) is
 
 linear plus quadratic in X given the data; base(X) depends on X only, through
 its Gram matrix X^T X.  Once per request the M = atom_count**n configurations
-are enumerated with their data-free log weights.  Configuration a M_b + b is
-head a on the first n_a = n - n // 2 rows and tail b on the last n_b = n // 2
-(meet in the middle): only the M_a heads' and M_b tails' signal rows are
-stored, and a chunk of B replicas costs head-only and tail-only terms, one
-batched (M_a, n_b d) x (n_b d, M_b) GEMM for the cross term (about M n_b d
+are enumerated with their data-free log weights.  This is the one place a log
+weight is computed: a replica's true signal is one of the configurations and
+is scored with them.  Configuration a M_b + b is head a on the first
+n_a = n - n // 2 rows and tail b on the last n_b = n // 2 (meet in the
+middle): only the M_a heads' and M_b tails' signal rows are stored, and a
+chunk of B replicas costs head-only and tail-only terms, one batched
+(M_a, n_b d) x (n_b d, M_b) GEMM for the cross term (about M n_b d
 multiply-adds per replica, not M (n d)^2), a log-sum-exp over the M axis and
 the head and tail marginals of p for the row means.  ``CHUNK_DOUBLES`` bounds
-the chunk's largest arrays; the budget on M keeps enumeration affordable.
-Rows are the i.i.d. unit, so enumeration runs over rows, not entries.
+the chunk's largest arrays and one replica's (n d)^2 coefficients; the budget
+on M keeps enumeration affordable.  Rows are the i.i.d. unit, so enumeration
+runs over rows, not entries.
 
 Draws.  Each replica reads two counter-based Philox streams, one for the
 signal and one for the noise; a stream is fixed by its 128-bit key alone.
@@ -55,7 +58,7 @@ DEFAULT_BUDGET = 200_000      # configurations one request may enumerate
 # np.indices builds an (n + 1)-dimensional array and numpy allows 64 axes, so
 # at most 63 rows can be enumerated whatever the atom count.
 MAX_ROWS = 63
-# doubles in the largest arrays of a chunk of replicas (2 MB)
+# doubles in the largest arrays of a chunk of replicas (2 MB), one replica's Q too
 CHUNK_DOUBLES = 250_000
 # data replicas one request may draw: bounds its time and its per-replica
 # results, and keeps a replica index one 32-bit entropy word of its seed
@@ -107,6 +110,8 @@ def _check_enumerable(model, n, data_samples=1):
                          f"> {MAX_REPLICAS}")
     if n > MAX_ROWS:
         raise ValueError(f"enumeration budget exceeded: n = {n} > {MAX_ROWS} rows")
+    if (nd := n * model.d) ** 2 > CHUNK_DOUBLES:     # one replica's Q, (n d)^2 doubles
+        raise ValueError(f"enumeration budget exceeded: n d = {nd}, (n d)^2 > {CHUNK_DOUBLES}")
     K = model.prior.atom_count
     if K ** n > DEFAULT_BUDGET:
         raise ValueError(
@@ -241,12 +246,6 @@ def sample_instance(model, n, seed):
                           y_tilde=y_tilde[0], ys=tuple(ys[0]))
 
 
-def enumerate_configs(atom_count, n):
-    """All atom_count**n row-index configurations, shape (M, n), int64."""
-    grids = np.indices((atom_count,) * n)
-    return grids.reshape(n, -1).T.astype(np.int64).copy()
-
-
 @dataclass(frozen=True)
 class _Enumeration:
     """The configurations of one request, and what the data do not change."""
@@ -259,26 +258,24 @@ class _Enumeration:
 
 
 def _enumerate(model, n, a_root):
+    """All atom_count**n configurations with the data-free part of their log weights.
+
+    Numbered row-major in the atom indices (the order of ``np.indices``), so
+    configuration m is head m // M_b and tail m % M_b.  The data-free part is
+    the log prior plus -1/2 (||X A||^2 + sum_l ||X B_l X^T||^2 / n), via X^T X.
+    """
     prior = model.prior
-    configs = enumerate_configs(prior.atom_count, n)
+    configs = np.indices((prior.atom_count,) * n).reshape(n, -1).T.copy()
     n_a, m_b = n - n // 2, prior.atom_count ** (n // 2)
     head = prior.atoms[configs[::m_b, :n_a]]                 # (M_a, n_a, d)
     tail = prior.atoms[configs[:m_b, n_a:]]                  # (M_b, n_b, d)
     grams = (np.einsum("mia,mib->mab", head, head)[:, None]
              + np.einsum("mia,mib->mab", tail, tail)).reshape(-1, model.d, model.d)
-    base = np.log(prior.weights)[configs].sum(axis=1) + _data_free(model, n, grams, a_root)
-    return _Enumeration(configs, head.reshape(len(head), -1), tail.reshape(m_b, -1), grams, base)
-
-
-def _data_free(model, n, grams, a_root):
-    """Data-free part of the log weight (prior aside), from Gram matrices X^T X.
-
-    -1/2 (||X A||^2 + sum_l ||X B_l X^T||^2 / n), written through X^T X.
-    """
-    ss = np.einsum("...ab,ab->...", grams, a_root @ a_root.T)
+    ss = np.einsum("mab,ab->m", grams, a_root @ a_root.T)
     for b in model.couplings:
-        ss += np.einsum("...ab,...ab->...", grams, b @ grams @ b.T) / n
-    return -0.5 * ss
+        ss += np.einsum("mab,mab->m", grams, b @ grams @ b.T) / n
+    base = np.log(prior.weights)[configs].sum(axis=1) - 0.5 * ss
+    return _Enumeration(configs, head.reshape(len(head), -1), tail.reshape(m_b, -1), grams, base)
 
 
 def _data_terms(model, a_root, y_tilde, ys):
@@ -302,44 +299,40 @@ def _chunk_size(m, nd):
     return max(1, CHUNK_DOUBLES // (2 * m + nd * nd))
 
 
-def _score(model, enum, a_root, signal, y_tilde, ys):
+def _score(model, enum, a_root, idx, y_tilde, ys):
     """Enumerate a chunk of B replicas: the single scoring routine of the oracle.
 
-    Takes the chunk as arrays, signal (B, n, d), y~ (B, n, d) and the Y_l
-    (B, L, n, n).  Returns (log_z, ll_signal, means, p): per replica the log
-    normalizer of the configuration weights (B,), the log weight of the true
-    signal without its prior factor (B,), the posterior row means (B, n, d)
-    (from the head and tail marginals of p), and the (B, M) posterior
-    probabilities.
+    Takes the chunk as arrays: the true signals' atom indices idx (B, n), y~
+    (B, n, d) and the Y_l (B, L, n, n).  Returns (log_z, ll_signal, means, p):
+    per replica the log normalizer of the weights (B,), the log weight of the
+    true signal without its prior factor (B,), read off its own configuration
+    idx . K^(n-1 .. 0), the posterior row means (B, n, d) (from the head and
+    tail marginals of p), and the (B, M) posterior probabilities.
     """
-    count, n, d = signal.shape
+    count, n = idx.shape
     lin, quad = _data_terms(model, a_root, y_tilde, ys)
     lw = _kernels.config_quadratic_terms(enum.configs, enum.head, enum.tail, lin, quad)
     lw += enum.base
+    m_true = idx @ model.prior.atom_count ** np.arange(n - 1, -1, -1)
+    ll_signal = lw[np.arange(count), m_true] - np.log(model.prior.weights)[idx].sum(axis=1)
     log_z = logsumexp(lw, axis=1)
     lw -= log_z[:, None]
     p = np.exp(lw, out=lw)
     joint = p.reshape(count, len(enum.head), len(enum.tail))
     means = np.concatenate([joint.sum(axis=2) @ enum.head, joint.sum(axis=1) @ enum.tail],
-                           axis=1).reshape(count, n, d)
-    flat = signal.reshape(count, -1)
-    ll_signal = (_data_free(model, n, signal.transpose(0, 2, 1) @ signal, a_root)
-                 + np.einsum("bj,bj->b", flat, lin)
-                 + np.einsum("bj,bjk,bk->b", flat, quad, flat))
+                           axis=1).reshape(count, n, model.d)
     return log_z, ll_signal, means, p
 
 
 def exact_posterior(inst):
-    """Enumerate the posterior exactly; log-domain weights throughout.
-
-    The instance is passed to ``_score`` as a chunk of one.
-    """
+    """Enumerate the posterior exactly, scoring the instance (``_score``) as a chunk of one."""
     model, n = inst.model, inst.n
     _check_enumerable(model, n)
     a_root = psdlinalg.sqrtm_psd(model.s)
     enum = _enumerate(model, n, a_root)
     ys = np.reshape(inst.ys, (1, len(inst.ys), n, n))
-    log_z, _, means, p = _score(model, enum, a_root, inst.signal[None], inst.y_tilde[None], ys)
+    log_z, _, means, p = _score(model, enum, a_root, inst.signal_idx[None],
+                                inst.y_tilde[None], ys)
     per_row_mean = means[0]
     second = np.einsum("m,mab->ab", p[0], enum.grams) / n
     outer = per_row_mean.T @ per_row_mean / n
@@ -394,9 +387,9 @@ def replica_average(model, n, data_samples, seed):
     r = np.empty_like(q)
     for lo in range(0, data_samples, chunk):
         hi = min(lo + chunk, data_samples)
-        signal, y_tilde, ys = _draw(model, n, a_root, words, range(lo, hi))[1:]
+        idx, signal, y_tilde, ys = _draw(model, n, a_root, words, range(lo, hi))
         # p is not kept: it would stay alive while the next chunk is scored
-        log_z, ll_signal, means = _score(model, enum, a_root, signal, y_tilde, ys)[:3]
+        log_z, ll_signal, means = _score(model, enum, a_root, idx, y_tilde, ys)[:3]
         mi[lo:hi] = (ll_signal - log_z) / n
         q[lo:hi] = signal.transpose(0, 2, 1) @ means / n
         r[lo:hi] = means.transpose(0, 2, 1) @ means / n

@@ -60,6 +60,12 @@ def test_prior_validation():
             priors.discrete([[1.0], [-1.0]], weights)
     with pytest.raises(ValueError):
         priors.gaussian([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"atoms must be \(K, d\) with one weight per atom"):
+        priors.discrete([[1.0], [-1.0]], [1.0])
+    with pytest.raises(ValueError, match="unknown prior kind 'laplace'"):
+        priors.Prior("laplace")
+    with pytest.raises(ValueError, match="atom_count only defined for discrete priors"):
+        priors.gaussian([[1.0]]).atom_count
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +105,14 @@ def test_mi_rejects_non_psd():
             fn(p, Z0, [[-1.0]])
         with pytest.raises(ValueError, match="side channel s"):
             fn(p, [[-1.0]], [[2.0]])
+
+
+def test_channel_refuses_wrong_shape():
+    p = priors.rademacher()
+    for fn in (channel.mutual_information, channel.mmse_matrix):
+        for s, r in ((np.eye(2), [[1.0]]), ([[0.0]], np.eye(2))):
+            with pytest.raises(ValueError, match="s and r must be d x d for the prior"):
+                fn(p, s, r)
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,90 @@ def test_oracle_refuses_replica_count_before_allocating(rademacher_file, capsys)
         assert peak < 1_000_000
 
 
+def test_oracle_refuses_n_d_before_allocating(tmp_path, capsys):
+    # one atom: M = 1 passes the configuration budget at any n, but one
+    # replica's Q would hold (63 * 20)^2 doubles, 12.7 MB
+    d = 20
+    model = tmp_path / "one_atom_d20.json"
+    model.write_text(json.dumps({"d": d, "couplings": [(0.5 * np.eye(d)).tolist()],
+                                 "s": (0.1 * np.eye(d)).tolist(),
+                                 "prior": {"discrete": {"atoms": [[1.0] * d],
+                                                        "weights": [1.0]}}}))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert cli.run(["oracle", "--model", str(model), "--n", "63",
+                        "--mc-samples", "2"]) == cli.EXIT_INPUT
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ("enumeration budget exceeded: n d = 1260, (n d)^2 > 250000"
+            in capsys.readouterr().err)
+    assert peak < 1_000_000
+
+
+def test_documents_refused_by_field(tmp_path, capsys):
+    # each malformed model or rotinv document is refused by name, exit 1
+    def model_doc(**fields):
+        doc = json.loads(RADEMACHER_DOC)
+        doc.update(fields)
+        return json.dumps(doc)
+
+    no_s = json.loads(RADEMACHER_DOC)
+    del no_s["s"]
+    negative_tau = json.loads(ROTINV_DOC)
+    negative_tau["tau"] = {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]}
+    discrete = json.loads(RADEMACHER_DOC)["prior"]["discrete"]
+    cases = [
+        ("solve", "{", "invalid JSON"),
+        ("rotinv-solve", "{", "invalid JSON"),
+        ("solve", json.dumps(no_s), "missing field 's'"),
+        ("solve", model_doc(couplings={"0": [[1.0]]}),
+         "field 'couplings' must be a list of d x d matrices"),
+        ("solve", model_doc(s=[[float("nan")]]), "field 's' contains non-finite entries"),
+        ("solve", model_doc(s=[[0.2, 0.0]]), "field 's' must have shape (1, 1), got (1, 2)"),
+        ("solve", model_doc(prior={}),
+         "field 'prior' must hold exactly one of 'discrete'/'gaussian'"),
+        ("solve", model_doc(prior={"discrete": discrete, "gaussian": {"cov": [[1.0]]}}),
+         "field 'prior' must hold exactly one of 'discrete'/'gaussian'"),
+        ("solve", model_doc(prior={"laplace": {"scale": 1.0}}),
+         "field 'prior' must hold 'discrete' or 'gaussian'"),
+        ("solve", model_doc(prior={"gaussian": {"cov": [[-1.0]]}}),
+         "field 'prior.gaussian.cov': gaussian prior covariance is not positive semidefinite"),
+        ("rotinv-solve", json.dumps(negative_tau),
+         "field 'tau': spectral atoms must be finite and nonnegative"),
+        ("solve", model_doc(d=2, couplings=[], s=np.zeros((2, 2)).tolist()),
+         "field 'prior': dimension 1 != d = 2"),
+    ]
+    for command, text, message in cases:
+        model = tmp_path / "doc.json"
+        model.write_text(text)
+        capsys.readouterr()
+        assert cli.run([command, "--model", str(model)]) == cli.EXIT_INPUT, text
+        assert message in capsys.readouterr().err, text
+
+
+def test_sweep_path_and_grid_refused(rademacher_file, capsys):
+    for path, grid, message in (
+            ("views:0", "0,1", "--path must be 'coupling:IDX' or 's:K,L', got 'views:0'"),
+            ("coupling:0", "0:1", "--grid range form is START:STOP:STEP"),
+            ("coupling:0", "1:0:1", "--grid range is empty")):
+        capsys.readouterr()
+        assert cli.run(["sweep", "--model", rademacher_file, "--path", path,
+                        "--grid", grid]) == cli.EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+
+def test_runtime_error_in_a_command_exits_nonconvergence(rademacher_file, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("no fixed point found")
+
+    monkeypatch.setattr(cli.solver, "solve_f", fail)
+    capsys.readouterr()
+    assert cli.run(["solve", "--model", rademacher_file]) == cli.EXIT_NOCONV
+    assert "error: no fixed point found" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_input(rademacher_file, capsys):
     # argparse's own exit code 2 is the non-convergence code: a malformed
     # value, a missing required flag or an unknown flag is an input error

@@ -201,7 +201,7 @@ def test_score_matches_direct_residual_d2():
     enum = oracle._enumerate(m, n, a_root)
     insts = [oracle.sample_instance(m, n, (6, rep)) for rep in range(3)]
     log_z, ll_signal, means, p = oracle._score(
-        m, enum, a_root, np.stack([inst.signal for inst in insts]),
+        m, enum, a_root, np.stack([inst.signal_idx for inst in insts]),
         np.stack([inst.y_tilde for inst in insts]), np.stack([inst.ys for inst in insts]))
     for b, inst in enumerate(insts):
         def log_weight(cfg):
@@ -301,6 +301,27 @@ def test_replica_average_memory_bounded():
     assert peak <= 4_000_000
 
 
+def test_replica_memory_bounded_by_n_d():
+    # a one-atom prior enumerates M = 1 configuration at any n, so only the
+    # n d bound limits the work: one replica's coefficient matrix Q holds
+    # (n d)^2 doubles, CHUNK_DOUBLES (2 MB) at the largest accepted n d = 500,
+    # and the peak stays within Q and two temporaries of its size (4.2 MB
+    # measured)
+    d = 20
+    m = ModelSpec(d, (0.5 * np.eye(d),), 0.1 * np.eye(d), priors.discrete([np.ones(d)], [1.0]))
+    tracemalloc.start()
+    try:
+        res = oracle.replica_average(m, 25, 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * oracle.CHUNK_DOUBLES
+    # the true signal is the one configuration: its log weight is log Z exactly
+    assert res.mi_per_row == 0.0
+    with pytest.raises(ValueError, match=r"n d = 520, \(n d\)\^2 > 250000"):
+        oracle.replica_average(m, 26, 2, seed=0)
+
+
 def test_nishimori_within_mc_error():
     m = rademacher_model(2.0, s=0.2)
     res = oracle.replica_average(m, 4, 2000, seed=5)
@@ -334,7 +355,7 @@ def test_nishimori_exact_under_data_quadrature():
                                      y_tilde=y_tilde, ys=(y,))
         summ = oracle.exact_posterior(inst)
         # joint E[X^T <X~>] with the X-average done by the posterior
-        p = oracle._score(m, enum, a_root, inst.signal[None], y_tilde[None], y[None, None])[3][0]
+        p = oracle._score(m, enum, a_root, inst.signal_idx[None], y_tilde[None], y[None, None])[3][0]
         mean_rows = summ.per_row_mean
         for cfg, pc in zip(enum.configs, p):
             x = atoms[cfg]

@@ -63,6 +63,19 @@ def test_model_rejects_side_channel_of_wrong_size():
         ModelSpec(2, (np.eye(2),), [[0.5]], prior)
 
 
+def test_model_refuses_malformed_fields():
+    prior = priors.discrete([[1.0, 1.0], [-1.0, -1.0]], [0.5, 0.5])
+    for args, message in (
+            ((0, (), np.zeros((0, 0)), prior), "dimension must be >= 1"),
+            ((1, (), [[0.0]], prior), "prior dimension 2 != model dimension 1"),
+            ((2, (np.eye(2), np.eye(3)), np.zeros((2, 2)), prior),
+             r"coupling 1 must be 2x2, got \(3, 3\)"),
+            ((2, ([[1.0, np.inf], [0.0, 1.0]],), np.zeros((2, 2)), prior),
+             "coupling 0 contains non-finite entries")):
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(*args)
+
+
 def test_r_star_preserves_cone(rng):
     # every summand is a congruence, so PSD in -> PSD out for any couplings
     for _ in range(20):
@@ -119,6 +132,12 @@ def test_potential_flags_q_outside_interval(wigner_gaussian):
 def test_potential_rejects_non_psd_r(wigner_gaussian):
     with pytest.raises(ValueError):
         potential(wigner_gaussian, [[-1.0]], [[0.5]])
+
+
+def test_potential_refuses_wrong_shape(wigner_gaussian):
+    for r, q in ((np.eye(2), [[0.5]]), ([[1.0]], np.zeros((2, 2)))):
+        with pytest.raises(ValueError, match="r and q must be 1x1"):
+            potential(wigner_gaussian, r, q)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,18 @@ def test_duplication_d2():
     npt.assert_array_equal(D @ np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 2.0, 3.0])
 
 
+def test_unvech_refuses_bad_length():
+    for size in (2, 4, 5):
+        with pytest.raises(ValueError, match=f"vector of length {size} is not a vech"):
+            pl.unvech(np.zeros(size))
+
+
+def test_check_symmetric_refuses_non_square():
+    for shape in ((2, 3), (3,), (2, 2, 2)):
+        with pytest.raises(ValueError, match="q must be a square matrix, got shape"):
+            pl.check_symmetric(np.zeros(shape), name="q")
+
+
 def test_duplication_rejects_zero():
     with pytest.raises(ValueError):
         pl.duplication_matrix(0)

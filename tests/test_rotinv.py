@@ -75,6 +75,17 @@ def test_r_transform_rejects_negative():
         rotinv.r_transform(golden_model(), -0.1)
 
 
+def test_refusals_of_negative_arguments_and_empty_law():
+    m = golden_model()
+    with pytest.raises(ValueError, match="integration endpoint must be nonnegative"):
+        rotinv.integrated_r(m, -0.1)
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        rotinv.i_rs(m, 0.5, -0.1)
+    for atoms, weights in (([], []), ([1.0, 2.0], [1.0])):
+        with pytest.raises(ValueError, match="atoms and weights must be equally sized"):
+            rotinv.SpectralDistribution(atoms, weights)
+
+
 def test_integrated_r_at_zero():
     assert rotinv.integrated_r(golden_model(), 0.0) == 0.0
 

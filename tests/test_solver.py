@@ -240,9 +240,27 @@ def test_stalled_acceleration_falls_back_to_damping():
     assert res.iterations <= 150
 
 
+def test_fixed_point_finishes_damped_on_return_to_unstable_point():
+    # T(x) = 2x with every x projected to 0: each nudge off the unstable
+    # fixed point 0 (damped-map radius 1.5) lands back on it, and the second
+    # return ends the run with the point as found, not at the 10,000-call cap
+    x, residual, iterations, converged, radius = solver.fixed_point(
+        lambda x: 2 * x, [0.0], None, lambda x: np.zeros_like(x))
+    npt.assert_array_equal(x, [0.0])
+    assert converged and residual == 0.0
+    assert radius == pytest.approx(1.5)
+    assert iterations == 3
+
+
+def test_sweep_path_refuses_unknown_kind():
+    with pytest.raises(ValueError, match="unknown sweep path kind 'diagonal'"):
+        solver.SweepPath("diagonal").check(rademacher_model(2.0))
+
+
 def test_settings_reject_out_of_range():
     for field, bad in (("max_iters", 0), ("max_iters", -3),
-                       ("tol", np.inf), ("tol", np.nan), ("tol", 0.0)):
+                       ("tol", np.inf), ("tol", np.nan), ("tol", 0.0),
+                       ("damping", 0.0), ("damping", 1.5), ("damping", np.nan)):
         with pytest.raises(ValueError, match=field):
             solver.SolveSettings(**{field: bad})
 
@@ -455,6 +473,19 @@ def test_predict_mmse_rejects_singular():
     with pytest.warns(RuntimeWarning):
         pred = solver.predict_mmse(m, allow_singular=True)
     assert np.isfinite(pred.consistency_gap)
+
+
+def test_predict_mmse_reports_bounds_at_a_tie():
+    # the sparse model at S = 1e-3 and lambda = 298.855: the uninformative and
+    # informative branches' f differ by about 2e-8, within DEGENERACY_VALUE_TOL,
+    # so both MMSE matrices are reported as bounds, the winner's first
+    m = sparse_model(298.855).with_s([[1e-3]])
+    with pytest.warns(RuntimeWarning, match="numerically non-unique"):
+        pred = solver.predict_mmse(m, quad=GH63)
+    assert pred.degenerate and len(pred.mmse_bounds) == 2
+    npt.assert_array_equal(pred.mmse_bounds[0], pred.mmse)
+    # uninformative (about the prior variance 0.05) and informative (0.021)
+    assert pred.mmse_bounds[0][0, 0] > 0.049 and pred.mmse_bounds[1][0, 0] < 0.022
 
 
 # ---------------------------------------------------------------------------
