@@ -5,7 +5,10 @@ Kernels
 * ``channel_discrete_moments``: mutual information and posterior moments of
   a discrete prior seen through a Gaussian channel, summed over (atom,
   quadrature node) pairs in one fused pass per chunk of ``CHUNK_LOGITS``
-  logits: one GEMM, one ``exp``; ``moments=False`` stops after log Z.
+  logits: one GEMM, one ``exp``; ``moments=False`` stops after log Z.  A
+  chunk's arrays are sized to stay in cache; the nodes are whatever the
+  caller passes (the channel passes a Gauss-Hermite grid without its
+  negligible nodes).
 * ``config_quadratic_terms``: data-dependent part of the log posterior
   weight of every enumerated signal configuration, for a chunk of data
   replicas at once: head-only and tail-only terms plus one batched bilinear
@@ -24,8 +27,11 @@ pinned against scipy's in the tests.
 
 import numpy as np
 
-# logits per chunk of quadrature nodes: the (K, K, m) buffer, 16 MB of doubles
-CHUNK_LOGITS = 2_000_000
+# logits per chunk of quadrature nodes: the (K, K, m) buffer, 512 KB of
+# doubles.  It and the (K, m) temporaries are allocated afresh on every call;
+# at this size they stay below glibc's mmap threshold and in cache, while
+# larger ones are mapped and page-faulted in again on every call.
+CHUNK_LOGITS = 65_536
 
 
 def get_backend():

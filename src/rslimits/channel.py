@@ -18,6 +18,16 @@ one kernel call: ``_mi_core`` (the potential, f(S)) asks the kernel for the
 mutual information alone (``moments=False``), and ``_mmse_core`` (each
 state-evolution step) for the posterior moments.
 
+A tensor Gauss-Hermite grid reaches the kernel without its nodes of weight
+q_m <= ``GH_WEIGHT_FLOOR`` (1e-20), about 60 % of the GH-63^2 grid; the
+floored grid is built once per (scheme, dimension) and cached, Monte Carlo
+nodes pass as drawn.  With D = sum over dropped nodes of q_m (1 + |W_m|^2 / 2)
+the floor moves I by at most max(1, log K) D, since the log-sum-exp of atom k
+lies between log w_k and |W|^2 / 2 and sum_k w_k log(1 / w_k) <= log K, and
+each entry of the two posterior moments by at most max_k |x_k|^2 D.  D is
+1.4e-17 at GH-63^2, 7.0e-17 at GH-21^3 and at most 8.4e-17 over every rule
+with n <= 300 at d = 1, 2, below the rounding of the sums.
+
 Validation policy: :func:`mutual_information` and :func:`mmse_matrix` check
 ``s`` and ``r`` (symmetric PSD, d x d) and pass S + r to the private cores
 ``_mi_core`` / ``_mmse_core``, which check nothing and take the root
@@ -28,11 +38,17 @@ module.  ``quad=None`` is ``default_scheme`` at the prior's dimension, read
 where nodes are built.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import _kernels, psdlinalg
 from .priors import GAUSSIAN
-from .quadrature import default_scheme
+from .quadrature import GAUSS_HERMITE, default_scheme
+
+# tensor Gauss-Hermite nodes of weight <= this are left out of the kernel's grid
+# (see the module docstring for what that moves)
+GH_WEIGHT_FLOOR = 1e-20
 
 
 def _channel_matrix(prior, s, r):
@@ -44,11 +60,30 @@ def _channel_matrix(prior, s, r):
     return s + r
 
 
+@lru_cache(maxsize=32)
+def _floored_gauss_hermite(scheme, dim):
+    """The Gauss-Hermite rule's nodes and weights with weight > GH_WEIGHT_FLOOR."""
+    nodes, weights = scheme.nodes_weights(dim)
+    keep = weights > GH_WEIGHT_FLOOR
+    nodes, weights = nodes[keep], weights[keep]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _kernel_nodes(quad, dim):
+    """Nodes and weights the kernel sums over: the floored Gauss-Hermite grid,
+    built once per (scheme, dim), or the Monte Carlo draw as it is."""
+    if quad.kind == GAUSS_HERMITE:
+        return _floored_gauss_hermite(quad, dim)
+    return quad.nodes_weights(dim)
+
+
 def _discrete_moments(prior, a, quad, moments):
     """Kernel output (mi, second moment, mean outer product) of a discrete prior;
     the two moments are None unless ``moments``."""
     quad = quad or default_scheme(prior.dim)
-    nodes, node_w = quad.nodes_weights(prior.dim)
+    nodes, node_w = _kernel_nodes(quad, prior.dim)
     atoms = prior.atoms
     delta = atoms[:, None, :] - atoms[None, :, :]       # x_k - x_j
     D = np.einsum("kjt,td->kjd", delta, a)              # A (x_k - x_j)

@@ -282,15 +282,17 @@ def _data_terms(model, a_root, y_tilde, ys):
     """Coefficients of the data-dependent log weight, one row per replica.
 
     From y~ (B, n, d) and the Y_l (B, L, n, n) returns L (B, n d) =
-    vec(y~ A^T) and Q (B, n d, n d) = sum_l kron(Y_l, B_l) / sqrt(n), so that
+    vec(y~ A^T) and Q (B, n d, n d) = sum_l kron(Y_l, B_l / sqrt(n)), so that
     a configuration's term is vec(X) . L + vec(X) . Q vec(X) (row-major vec).
+    The sum over l is one einsum written straight into Q, so Q is the only
+    array of its size (L = 0: Q = 0).
     """
     count, n, d = y_tilde.shape
     lin = (y_tilde @ a_root.T).reshape(count, n * d)
-    quad = np.zeros((count, n, d, n, d))
-    for l, b in enumerate(model.couplings):
-        quad += np.einsum("bij,ac->biajc", ys[:, l], b)
-    return lin, quad.reshape(count, n * d, n * d) / math.sqrt(n)
+    scaled = np.reshape(model.couplings, (-1, d, d)) / math.sqrt(n)
+    quad = np.empty((count, n, d, n, d))
+    np.einsum("blij,lac->biajc", ys, scaled, out=quad)
+    return lin, quad.reshape(count, n * d, n * d)
 
 
 def _chunk_size(m, nd):

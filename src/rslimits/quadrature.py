@@ -60,13 +60,21 @@ class QuadratureScheme:
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
 
     def node_count(self, dim):
-        """Number of nodes at dimension ``dim``, without building them."""
+        """Number of nodes at dimension ``dim``, without building them.
+
+        This is the full rule's size (n^dim for Gauss-Hermite), not the size of
+        the floored grid the channel kernel sums over: the CLI refuses a
+        scheme above ``MAX_NODES`` on this count."""
         if self.kind == GAUSS_HERMITE:
             return self.nodes_per_dim ** dim
         return self.sample_count
 
     def nodes_weights(self, dim):
-        """Return (nodes, weights): nodes (M, dim), weights (M,) summing to 1."""
+        """Return (nodes, weights): nodes (M, dim), weights (M,) summing to 1.
+
+        This is the exact rule.  The channel kernel sums over a floored view
+        of a Gauss-Hermite grid instead, without its nodes of weight <= 1e-20
+        (``channel.GH_WEIGHT_FLOOR``)."""
         if self.kind == GAUSS_HERMITE:
             return _tensor_gauss_hermite(self.nodes_per_dim, dim)
         rng = np.random.Generator(np.random.Philox(key=self.seed))

@@ -3,7 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from rslimits import channel, priors, psdlinalg
-from rslimits.quadrature import gauss_hermite, monte_carlo
+from rslimits.quadrature import (MAX_GH_NODES_PER_DIM, default_scheme, gauss_hermite,
+                                 gh_nodes_1d, monte_carlo)
 
 from conftest import random_discrete_prior, random_psd
 
@@ -214,3 +215,86 @@ def test_mi_data_processing_monotone(rng):
     t = random_psd(rng, 2, 0.5)
     vals = [channel.mutual_information(p, s, r + tau * t) for tau in (0.0, 0.5, 1.0, 2.0)]
     assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the kernel's floored Gauss-Hermite grid
+# ---------------------------------------------------------------------------
+
+# summing thousands of nodes in another order moves the last digits
+ROUNDING = 1e-14
+
+
+def _dropped_mass(nodes, weights):
+    """D = sum over dropped nodes of q_m (1 + |W_m|^2 / 2)."""
+    drop = weights <= channel.GH_WEIGHT_FLOOR
+    return float(np.sum(weights[drop] * (1.0 + 0.5 * np.sum(nodes[drop] ** 2, axis=1))))
+
+
+def test_floored_grid_keeps_the_nodes_above_the_floor():
+    for n, dim, kept in ((63, 1, 45), (63, 2, 1577), (21, 3, 7197), (13, 4, 26689), (9, 4, 6561)):
+        scheme = gauss_hermite(n)
+        nodes, w = scheme.nodes_weights(dim)
+        floored_nodes, floored_w = channel._kernel_nodes(scheme, dim)
+        keep = w > channel.GH_WEIGHT_FLOOR
+        assert floored_w.shape == (kept,)
+        npt.assert_array_equal(floored_nodes, nodes[keep])
+        npt.assert_array_equal(floored_w, w[keep])
+        # built once per (scheme, dim)
+        assert channel._kernel_nodes(scheme, dim)[1] is floored_w
+
+
+def test_monte_carlo_nodes_pass_unfloored_and_uncached():
+    scheme = monte_carlo(500, seed=3)
+    before = channel._floored_gauss_hermite.cache_info().currsize
+    nodes, w = channel._kernel_nodes(scheme, 2)
+    expected = scheme.nodes_weights(2)
+    npt.assert_array_equal(nodes, expected[0])
+    npt.assert_array_equal(w, expected[1])
+    assert channel._floored_gauss_hermite.cache_info().currsize == before
+
+
+def test_node_count_is_the_unfloored_rule_size():
+    # cli._quad_for refuses a scheme on node_count, so it counts the rule the
+    # user asked for, not the smaller grid the kernel sums over
+    for n, dim in ((63, 1), (63, 2), (21, 3)):
+        scheme = gauss_hermite(n)
+        assert scheme.node_count(dim) == n ** dim == len(scheme.nodes_weights(dim)[1])
+        assert len(channel._kernel_nodes(scheme, dim)[1]) < n ** dim
+
+
+def test_floored_kernel_matches_full_rule_within_bound(rng, monkeypatch):
+    # I moves by at most max(1, log K) D (log w_k <= log Z_k(W) <= |W|^2 / 2),
+    # each moment entry by at most max_k |x_k|^2 D
+    cases = [(priors.rademacher(), 63),
+             (random_discrete_prior(rng, 2), 63),
+             (random_discrete_prior(rng, 3), 21),
+             (random_discrete_prior(rng, 4, atom_count=16), 13)]   # drops 1,872 of 28,561
+    for prior, n in cases:
+        d, quad = prior.dim, gauss_hermite(n)
+        D = _dropped_mass(*quad.nodes_weights(d))
+        mi_bound = max(1.0, np.log(prior.atom_count)) * D + ROUNDING
+        moment_bound = np.max(np.sum(prior.atoms ** 2, axis=1)) * D + ROUNDING
+        for snr in (0.1 * np.eye(d), random_psd(rng, d, 2.0) + np.eye(d)):
+            a = psdlinalg.sqrtm_psd(snr)
+            floored = channel._discrete_moments(prior, a, quad, moments=True)
+            with monkeypatch.context() as mp:
+                mp.setattr(channel, "_kernel_nodes", lambda q, dim: q.nodes_weights(dim))
+                full = channel._discrete_moments(prior, a, quad, moments=True)
+            assert abs(floored[0] - full[0]) <= mi_bound
+            for got, want in zip(floored[1:], full[1:]):
+                assert np.max(np.abs(got - want)) <= moment_bound
+
+
+def test_dropped_mass_is_negligible():
+    # every Gauss-Hermite rule at d = 1, 2 (tensor grids built here from the
+    # 1-D rule, not through the cache) and the default Gauss-Hermite schemes
+    worst = 0.0
+    for n in range(1, MAX_GH_NODES_PER_DIM + 1):
+        z, w = gh_nodes_1d(n)
+        grid = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
+        worst = max(worst, _dropped_mass(z[:, None], w),
+                    _dropped_mass(grid, np.multiply.outer(w, w).ravel()))
+    for d in (1, 2, 3):                  # d >= 4 defaults to Monte Carlo, never floored
+        worst = max(worst, _dropped_mass(*default_scheme(d).nodes_weights(d)))
+    assert worst <= 1e-14

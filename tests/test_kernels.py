@@ -36,6 +36,8 @@ def test_channel_moments_match_reference(rng, monkeypatch):
              (random_discrete_prior(rng, 3, atom_count=3), monte_carlo(2000, seed=4), None),
              # 441 nodes in chunks of 6, the last one partial
              (random_discrete_prior(rng, 2), gauss_hermite(21), 100),
+             # the floored GH-21^3 grid: 7,197 nodes, 4,096 + 3,101 at K = 4
+             (random_discrete_prior(rng, 3), gauss_hermite(21), None),
              (_product_prior_d4(), monte_carlo(64, seed=2), None),
              # last: a zero-weight atom, whose -inf logits the one exp sends to 0
              (priors.discrete(atoms + [[2.0, 2.0]], weights + [0.0]), monte_carlo(3000, seed=6), None)]
@@ -63,10 +65,10 @@ def test_channel_moments_match_reference(rng, monkeypatch):
 
 
 def test_channel_kernel_memory_bounded():
-    # one (K, K, m) buffer of CHUNK_LOGITS doubles (16 MB) is the largest
-    # array: the peak is the 2e5 nodes and weights (8 MB) plus that buffer
-    # plus (K, m) rows.  Measured 27.0 MB; the unfused kernel peaked at
-    # 94.0 MB (several K^2 m temporaries at once).
+    # the 2e5 nodes and weights (8 MB) are the largest array; the kernel adds
+    # one (K, K, m) buffer of CHUNK_LOGITS doubles (512 KB) plus (K, m) rows.
+    # Measured 8.7 MB; with a 16 MB buffer 27.0 MB, and the unfused kernel
+    # peaked at 94.0 MB (several K^2 m temporaries at once).
     prior = _product_prior_d4()
     quad = monte_carlo(200_000, seed=1)
     nodes_bytes = 200_000 * (4 + 1) * 8

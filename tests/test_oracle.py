@@ -305,8 +305,8 @@ def test_replica_memory_bounded_by_n_d():
     # a one-atom prior enumerates M = 1 configuration at any n, so only the
     # n d bound limits the work: one replica's coefficient matrix Q holds
     # (n d)^2 doubles, CHUNK_DOUBLES (2 MB) at the largest accepted n d = 500,
-    # and the peak stays within Q and two temporaries of its size (4.2 MB
-    # measured)
+    # and the peak stays within Q and less than one more array of its size
+    # (3.4 MB measured)
     d = 20
     m = ModelSpec(d, (0.5 * np.eye(d),), 0.1 * np.eye(d), priors.discrete([np.ones(d)], [1.0]))
     tracemalloc.start()
@@ -315,7 +315,7 @@ def test_replica_memory_bounded_by_n_d():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * oracle.CHUNK_DOUBLES
+    assert peak < 2 * 8 * oracle.CHUNK_DOUBLES
     # the true signal is the one configuration: its log weight is log Z exactly
     assert res.mi_per_row == 0.0
     with pytest.raises(ValueError, match=r"n d = 520, \(n d\)\^2 > 250000"):
