@@ -103,15 +103,15 @@ def channel_discrete_moments(logw, c, D, atoms, nodes, node_w, *, moments=True):
 def config_quadratic_terms(C, head, tail, L, Q):
     """Data-dependent log weight of every configuration, for B replicas at once.
 
-    C (M, n) atom indices; configuration m = a M_b + b has the signal rows
-    x_m = (head[a], tail[b]), head (M_a, n_a d) and tail (M_b, n_b d) being
-    its first n_a and last n_b rows flattened row-major (n_b = 0: a (1, 0)
-    tail).  L (B, n d) and Q (B, n d, n d): coefficients, one per replica.
-    Returns (B, M), out[b, m] = x_m . L[b] + x_m . Q[b] . x_m: head-only and
-    tail-only terms once per head or tail, and the cross term
+    C (M, n): M configurations of n rows; configuration m = a M_b + b has
+    the signal rows x_m = (head[a], tail[b]), head (M_a, n_a d) and tail
+    (M_b, n_b d) being its first n_a and last n_b rows flattened row-major
+    (n_b = 0: a (1, 0) tail).  L (B, n d) and Q (B, n d, n d): coefficients,
+    one per replica.  Returns (B, M), out[b, m] = x_m . L[b] + x_m . Q[b] . x_m:
+    head-only and tail-only terms once per head or tail, and the cross term
     head[a] . (Q_ab + Q_ba^T) . tail[b] as one batched GEMM, about M n_b d
-    multiply-adds per replica.  The (B, M) result is the largest array; C only
-    names the configurations, giving the call's (M, n).
+    multiply-adds per replica.  The (B, M) result is the largest array.  C is
+    read only for its shape, by perfbench's ``_hook_enum`` until ROADMAP item 7.
     """
     ja = head.shape[1]
     qab = Q[:, :ja, ja:] + Q[:, ja:, :ja].transpose(0, 2, 1)

@@ -20,20 +20,23 @@ With A = S^{1/2}, the log weight of a configuration with signal X (n, d) is
 
     log prior(X) + <y~ A, X> + sum_l <Y_l, X B_l X^T> / sqrt(n) + base(X),
 
-linear plus quadratic in X given the data; base(X) depends on X only, through
-its Gram matrix X^T X.  Once per request the M = atom_count**n configurations
-are enumerated with their data-free log weights.  This is the one place a log
-weight is computed: a replica's true signal is one of the configurations and
-is scored with them.  Configuration a M_b + b is head a on the first
-n_a = n - n // 2 rows and tail b on the last n_b = n // 2 (meet in the
-middle): only the M_a heads' and M_b tails' signal rows are stored, and a
-chunk of B replicas costs head-only and tail-only terms, one batched
-(M_a, n_b d) x (n_b d, M_b) GEMM for the cross term (about M n_b d
-multiply-adds per replica, not M (n d)^2), a log-sum-exp over the M axis and
-the head and tail marginals of p for the row means.  ``CHUNK_DOUBLES`` bounds
-the chunk's largest arrays and one replica's (n d)^2 coefficients; the budget
-on M keeps enumeration affordable.  Rows are the i.i.d. unit, so enumeration
-runs over rows, not entries.
+linear plus quadratic in X given the data; base(X) = -1/2 (||X A||^2 +
+sum_l ||X B_l X^T||^2 / n).  With the log prior it depends on X only through
+its atom counts c (K,): c . v - 1/2 c^T T c, with v_k = log w_k -
+1/2 ||x_k A||^2 and T_kj = sum_l (x_k B_l x_j^T)^2 / n, symmetrised.  Once
+per request the M = atom_count**n configurations are enumerated with their
+data-free log weights, the one place a log weight is computed: a replica's
+true signal is one of the configurations and is scored with them.
+Configuration a M_b + b is head a on the first n_a = n - n // 2 rows and
+tail b on the last n_b = n // 2 (meet in the middle): only the M_a heads' and
+M_b tails' signal rows and atom counts are stored, and a chunk of B replicas
+costs head-only and tail-only terms, one batched (M_a, n_b d) x (n_b d, M_b)
+GEMM for the cross term (about M n_b d multiply-adds per replica, not
+M (n d)^2), a log-sum-exp over the M axis and the head and tail marginals of
+p for the row means and atom counts.  Only the (M,) data-free and the
+chunk's (B, M) log weights have a row per configuration.  ``CHUNK_DOUBLES``
+bounds the chunk's largest arrays and one replica's (n d)^2 coefficients;
+the budget on M and K^2 keeps enumeration affordable.
 
 Draws.  Each replica reads two counter-based Philox streams, one for the
 signal and one for the noise; a stream is fixed by its 128-bit key alone.
@@ -54,10 +57,7 @@ from . import _kernels, psdlinalg
 from ._kernels import logsumexp
 from .priors import DISCRETE
 
-DEFAULT_BUDGET = 200_000      # configurations one request may enumerate
-# np.indices builds an (n + 1)-dimensional array and numpy allows 64 axes, so
-# at most 63 rows can be enumerated whatever the atom count.
-MAX_ROWS = 63
+DEFAULT_BUDGET = 200_000      # configurations one request may enumerate, and entries of T
 # doubles in the largest arrays of a chunk of replicas (2 MB), one replica's Q too
 CHUNK_DOUBLES = 250_000
 # data replicas one request may draw: bounds its time and its per-replica
@@ -98,7 +98,7 @@ class PosteriorSummary:
 
 
 def _check_enumerable(model, n, data_samples=1):
-    """The one check of an oracle request."""
+    """The one check of an oracle request (K^max(n, 2): K^n configurations, K^2 in T)."""
     if model.prior.kind != DISCRETE:
         raise ValueError("exact enumeration requires a discrete prior")
     if n < 1:
@@ -108,14 +108,12 @@ def _check_enumerable(model, n, data_samples=1):
     if data_samples > MAX_REPLICAS:
         raise ValueError(f"replica budget exceeded: {data_samples} data samples "
                          f"> {MAX_REPLICAS}")
-    if n > MAX_ROWS:
-        raise ValueError(f"enumeration budget exceeded: n = {n} > {MAX_ROWS} rows")
     if (nd := n * model.d) ** 2 > CHUNK_DOUBLES:     # one replica's Q, (n d)^2 doubles
         raise ValueError(f"enumeration budget exceeded: n d = {nd}, (n d)^2 > {CHUNK_DOUBLES}")
     K = model.prior.atom_count
-    if K ** n > DEFAULT_BUDGET:
-        raise ValueError(
-            f"enumeration budget exceeded: {K}^{n} configurations > {DEFAULT_BUDGET}")
+    if K ** max(n, 2) > DEFAULT_BUDGET:
+        raise ValueError(f"enumeration budget exceeded: K^max(n, 2) = {K}^{max(n, 2)} > "
+                         f"{DEFAULT_BUDGET} (K^n configurations, a K^2 atom-pair table)")
 
 
 def _entropy_words(seed):
@@ -250,32 +248,38 @@ def sample_instance(model, n, seed):
 class _Enumeration:
     """The configurations of one request, and what the data do not change."""
 
-    configs: np.ndarray   # (M, n) atom indices
-    head: np.ndarray      # (M_a, n_a d) signal rows of the heads, flattened
-    tail: np.ndarray      # (M_b, n_b d) of the tails; (1, 0) when n_b = 0
-    grams: np.ndarray     # (M, d, d) X^T X of each configuration
-    base: np.ndarray      # (M,) data-free part of each log weight, prior included
+    head: np.ndarray          # (M_a, n_a d) signal rows of the heads, flattened
+    tail: np.ndarray          # (M_b, n_b d) of the tails; (1, 0) when n_b = 0
+    head_counts: np.ndarray   # (M_a, K) atom counts of the heads
+    tail_counts: np.ndarray   # (M_b, K) of the tails; a zero row when n_b = 0
+    base: np.ndarray          # (M,) data-free part of each log weight, prior included
+
+
+def _sequences(prior, rows):
+    """Signal rows (K^rows, rows d) and atom counts (K^rows, K) of all atom-index
+    sequences of length ``rows``, row-major (the last row varies fastest)."""
+    K = prior.atom_count
+    idx = np.arange(K ** rows)[:, None] // K ** np.arange(rows - 1, -1, -1) % K
+    return prior.atoms[idx].reshape(len(idx), -1), (idx[:, :, None] == np.arange(K)).sum(axis=1)
 
 
 def _enumerate(model, n, a_root):
     """All atom_count**n configurations with the data-free part of their log weights.
 
-    Numbered row-major in the atom indices (the order of ``np.indices``), so
-    configuration m is head m // M_b and tail m % M_b.  The data-free part is
-    the log prior plus -1/2 (||X A||^2 + sum_l ||X B_l X^T||^2 / n), via X^T X.
+    Configuration m is head m // M_b and tail m % M_b.  With counts c = c_a + c_b
+    the data-free part c . v - 1/2 c^T T c (module docstring) splits, as the
+    data term does, into head and tail terms and the cross term -c_a^T T c_b.
     """
     prior = model.prior
-    configs = np.indices((prior.atom_count,) * n).reshape(n, -1).T.copy()
-    n_a, m_b = n - n // 2, prior.atom_count ** (n // 2)
-    head = prior.atoms[configs[::m_b, :n_a]]                 # (M_a, n_a, d)
-    tail = prior.atoms[configs[:m_b, n_a:]]                  # (M_b, n_b, d)
-    grams = (np.einsum("mia,mib->mab", head, head)[:, None]
-             + np.einsum("mia,mib->mab", tail, tail)).reshape(-1, model.d, model.d)
-    ss = np.einsum("mab,ab->m", grams, a_root @ a_root.T)
-    for b in model.couplings:
-        ss += np.einsum("mab,mab->m", grams, b @ grams @ b.T) / n
-    base = np.log(prior.weights)[configs].sum(axis=1) - 0.5 * ss
-    return _Enumeration(configs, head.reshape(len(head), -1), tail.reshape(m_b, -1), grams, base)
+    head, head_counts = _sequences(prior, n - n // 2)
+    tail, tail_counts = _sequences(prior, n // 2)
+    v = np.log(prior.weights) - 0.5 * np.sum((prior.atoms @ a_root) ** 2, axis=1)
+    couplings = np.reshape(model.couplings, (-1, model.d, model.d))
+    t = np.sum((prior.atoms @ couplings @ prior.atoms.T) ** 2, axis=0) / n   # (K, K); L = 0: 0
+    t = 0.5 * (t + t.T)
+    own = [c @ v - 0.5 * np.sum((c @ t) * c, axis=1) for c in (head_counts, tail_counts)]
+    base = own[0][:, None] + own[1] - head_counts @ t @ tail_counts.T
+    return _Enumeration(head, tail, head_counts, tail_counts, base.ravel())
 
 
 def _data_terms(model, a_root, y_tilde, ys):
@@ -305,25 +309,26 @@ def _score(model, enum, a_root, idx, y_tilde, ys):
     """Enumerate a chunk of B replicas: the single scoring routine of the oracle.
 
     Takes the chunk as arrays: the true signals' atom indices idx (B, n), y~
-    (B, n, d) and the Y_l (B, L, n, n).  Returns (log_z, ll_signal, means, p):
-    per replica the log normalizer of the weights (B,), the log weight of the
-    true signal without its prior factor (B,), read off its own configuration
-    idx . K^(n-1 .. 0), the posterior row means (B, n, d) (from the head and
-    tail marginals of p), and the (B, M) posterior probabilities.
+    (B, n, d) and the Y_l (B, L, n, n).  Returns (log_z, ll_signal, means,
+    counts): per replica the log normalizer of the weights (B,), the log
+    weight of the true signal without its prior factor (B,), read off its own
+    configuration idx . K^(n-1 .. 0), and from the head and tail marginals of
+    p the posterior row means (B, n, d) and expected atom counts (B, K).
     """
     count, n = idx.shape
     lin, quad = _data_terms(model, a_root, y_tilde, ys)
-    lw = _kernels.config_quadratic_terms(enum.configs, enum.head, enum.tail, lin, quad)
+    lw = _kernels.config_quadratic_terms(np.broadcast_to(np.intp(0), (len(enum.base), n)),
+                                         enum.head, enum.tail, lin, quad)   # C: shape only
     lw += enum.base
     m_true = idx @ model.prior.atom_count ** np.arange(n - 1, -1, -1)
     ll_signal = lw[np.arange(count), m_true] - np.log(model.prior.weights)[idx].sum(axis=1)
     log_z = logsumexp(lw, axis=1)
     lw -= log_z[:, None]
-    p = np.exp(lw, out=lw)
-    joint = p.reshape(count, len(enum.head), len(enum.tail))
-    means = np.concatenate([joint.sum(axis=2) @ enum.head, joint.sum(axis=1) @ enum.tail],
+    joint = np.exp(lw, out=lw).reshape(count, len(enum.head), len(enum.tail))
+    p_head, p_tail = joint.sum(axis=2), joint.sum(axis=1)
+    means = np.concatenate([p_head @ enum.head, p_tail @ enum.tail],
                            axis=1).reshape(count, n, model.d)
-    return log_z, ll_signal, means, p
+    return log_z, ll_signal, means, p_head @ enum.head_counts + p_tail @ enum.tail_counts
 
 
 def exact_posterior(inst):
@@ -333,10 +338,10 @@ def exact_posterior(inst):
     a_root = psdlinalg.sqrtm_psd(model.s)
     enum = _enumerate(model, n, a_root)
     ys = np.reshape(inst.ys, (1, len(inst.ys), n, n))
-    log_z, _, means, p = _score(model, enum, a_root, inst.signal_idx[None],
-                                inst.y_tilde[None], ys)
+    log_z, _, means, counts = _score(model, enum, a_root, inst.signal_idx[None],
+                                     inst.y_tilde[None], ys)
     per_row_mean = means[0]
-    second = np.einsum("m,mab->ab", p[0], enum.grams) / n
+    second = (model.prior.atoms.T * counts[0]) @ model.prior.atoms / n
     outer = per_row_mean.T @ per_row_mean / n
     const = float(np.sum(inst.y_tilde ** 2)) + sum(float(np.sum(y ** 2)) for y in inst.ys)
     return PosteriorSummary(
@@ -383,14 +388,13 @@ def replica_average(model, n, data_samples, seed):
     words = _entropy_words(seed)
     a_root = psdlinalg.sqrtm_psd(model.s)
     enum = _enumerate(model, n, a_root)
-    chunk = _chunk_size(len(enum.configs), n * model.d)
+    chunk = _chunk_size(len(enum.base), n * model.d)
     mi = np.empty(data_samples)
     q = np.empty((data_samples, model.d, model.d))
     r = np.empty_like(q)
     for lo in range(0, data_samples, chunk):
         hi = min(lo + chunk, data_samples)
         idx, signal, y_tilde, ys = _draw(model, n, a_root, words, range(lo, hi))
-        # p is not kept: it would stay alive while the next chunk is scored
         log_z, ll_signal, means = _score(model, enum, a_root, idx, y_tilde, ys)[:3]
         mi[lo:hi] = (ll_signal - log_z) / n
         q[lo:hi] = signal.transpose(0, 2, 1) @ means / n

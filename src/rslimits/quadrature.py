@@ -15,7 +15,6 @@ can refuse one above ``MAX_NODES`` up front.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -106,9 +105,7 @@ def gh_nodes_1d(n):
     return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
 
 
-@lru_cache(maxsize=32)
 def _tensor_gauss_hermite(n, dim):
-    # cached: solver loops request the same grid every iteration
     z, w = gh_nodes_1d(n)
     if dim == 1:
         nodes, weights = z[:, None], w
@@ -119,6 +116,4 @@ def _tensor_gauss_hermite(n, dim):
         for _ in range(dim - 1):
             weights = np.multiply.outer(weights, w)
         weights = weights.ravel()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
     return nodes, weights

@@ -311,16 +311,28 @@ def test_exit_code_input_error(rademacher_file, tmp_path, capsys):
         capsys.readouterr()
         assert cli.run([command, "--model", rademacher_file, *flags]) == cli.EXIT_INPUT
         assert f"{flags[-2]} must be >= 1, got 0" in capsys.readouterr().err
-    # more rows than can be enumerated, whatever the atom count
-    for atoms, n in (([[1.0], [0.0], [-1.0]], 20000), ([[1.0]], 64)):
-        weights = [1.0 / len(atoms)] * len(atoms)
+    # rows and atoms the oracle enumerates: n d <= 500 whatever the atom
+    # count, K^n configurations and the K^2 atom-pair table within DEFAULT_BUDGET
+    def atoms_file(count):
         doc = {"d": 1, "couplings": [[[1.0]]], "s": [[0.0]],
-               "prior": {"discrete": {"atoms": atoms, "weights": weights}}}
-        wide = tmp_path / f"atoms{len(atoms)}.json"
-        wide.write_text(json.dumps(doc))
+               "prior": {"discrete": {"atoms": [[float(k)] for k in range(count)],
+                                      "weights": [1.0 / count] * count}}}
+        path = tmp_path / f"atoms{count}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    for count, n, message in ((3, 20000, "n d = 20000, (n d)^2 > 250000"),
+                              (1, 501, "n d = 501, (n d)^2 > 250000"),
+                              (448, 1, f"K^max(n, 2) = 448^2 > {oracle.DEFAULT_BUDGET}")):
         capsys.readouterr()
-        assert cli.run(["oracle", "--model", str(wide), "--n", str(n)]) == cli.EXIT_INPUT
-        assert f"enumeration budget exceeded: n = {n} > 63 rows" in capsys.readouterr().err
+        assert cli.run(["oracle", "--model", atoms_file(count), "--n", str(n)]) == cli.EXIT_INPUT
+        assert f"enumeration budget exceeded: {message}" in capsys.readouterr().err
+    for count, n in ((1, 64), (1, 500), (447, 1)):
+        out = tmp_path / "served.json"
+        assert cli.run(["oracle", "--model", atoms_file(count), "--n", str(n),
+                        "--mc-samples", "2", "--out", str(out)]) == 0
+        if count == 1:    # the true signal is the one configuration
+            assert json.loads(out.read_text())["mi_per_row"] == 0.0
     # quadrature larger than MAX_NODES at the model's d: refused before any
     # node is built (a 63^4 grid is 1.6e7 nodes, 1e9 draws at d = 4 are 32 GB),
     # for the sweep too, which otherwise records a failed point and goes on

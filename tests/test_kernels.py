@@ -91,25 +91,30 @@ def test_config_kernels_match_reference():
     for m, n in cases:
         a_root = psdlinalg.sqrtm_psd(m.s)
         enum = oracle._enumerate(m, n, a_root)
-        # configuration a M_b + b is head a followed by tail b
+        K = m.prior.atom_count
+        # the reference configurations, row-major in the atom indices (M, n)
+        configs = np.indices((K,) * n).reshape(n, -1).T
+        # configuration a M_b + b is head a followed by tail b, in rows and counts
         m_b = len(enum.tail)
         rows = np.concatenate([np.repeat(enum.head, m_b, axis=0),
                                np.tile(enum.tail, (len(enum.head), 1))], axis=1)
-        npt.assert_array_equal(rows, m.prior.atoms[enum.configs].reshape(len(enum.configs), -1))
+        npt.assert_array_equal(rows, m.prior.atoms[configs].reshape(len(configs), -1))
+        counts = (np.repeat(enum.head_counts, m_b, axis=0)
+                  + np.tile(enum.tail_counts, (len(enum.head), 1)))
+        npt.assert_array_equal(counts, [np.bincount(c, minlength=K) for c in configs])
         # replicas 0..2 of seed 8, drawn as one chunk
         y_tilde, ys = oracle._draw(m, n, a_root, [8], np.arange(3))[2:]
         L, Q = oracle._data_terms(m, a_root, y_tilde, ys)
-        fast = _kernels.config_quadratic_terms(enum.configs, enum.head, enum.tail, L, Q)
-        assert fast.shape == (3, len(enum.configs))
+        fast = _kernels.config_quadratic_terms(configs, enum.head, enum.tail, L, Q)
+        assert fast.shape == (3, len(configs))
         for b in range(3):
-            slow = ref.config_quadratic_terms(enum.configs, enum.head, enum.tail,
+            slow = ref.config_quadratic_terms(configs, enum.head, enum.tail,
                                               L[b:b + 1], Q[b:b + 1])
             npt.assert_allclose(fast[b], slow[0], rtol=0, atol=1e-12)
-        K = m.prior.atom_count
         p = np.exp(fast[0] - fast[0].max())
         p /= p.sum()
-        npt.assert_allclose(_kernels.config_row_marginals(enum.configs, p, K),
-                            ref.config_row_marginals(enum.configs, p, K), rtol=1e-13, atol=1e-15)
+        npt.assert_allclose(_kernels.config_row_marginals(configs, p, K),
+                            ref.config_row_marginals(configs, p, K), rtol=1e-13, atol=1e-15)
 
 
 def test_reference_kernels_full_pipeline(monkeypatch):

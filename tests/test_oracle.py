@@ -192,15 +192,21 @@ def test_posterior_matches_hand_enumeration(s_val):
 
 def test_score_matches_direct_residual_d2():
     # a chunk of d=2 replicas with two couplings and a non-diagonal S: each
-    # column of _score against log weights coded here from the residual
-    m = ModelSpec(2, (0.5 * np.eye(2), [[0.3, 0.1], [0.1, -0.2]]), [[0.3, 0.1], [0.1, 0.2]],
-                  priors.discrete([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-0.5, -1.0]],
-                                  [0.1, 0.2, 0.3, 0.4]))
-    n = 3
+    # column of _score against log weights coded here from the residual; with
+    # a non-symmetric coupling too, whose atom-pair table T is symmetrised
+    prior = priors.discrete([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-0.5, -1.0]],
+                            [0.1, 0.2, 0.3, 0.4])
+    for second in ([[0.3, 0.1], [0.1, -0.2]], [[0.3, 0.7], [-0.2, 0.1]]):
+        m = ModelSpec(2, (0.5 * np.eye(2), second), [[0.3, 0.1], [0.1, 0.2]], prior)
+        _check_score_against_residual(m, 3)
+
+
+def _check_score_against_residual(m, n):
     a_root = psdlinalg.sqrtm_psd(m.s)
     enum = oracle._enumerate(m, n, a_root)
+    configs = np.indices((m.prior.atom_count,) * n).reshape(n, -1).T   # row-major, (M, n)
     insts = [oracle.sample_instance(m, n, (6, rep)) for rep in range(3)]
-    log_z, ll_signal, means, p = oracle._score(
+    log_z, ll_signal, means, counts = oracle._score(
         m, enum, a_root, np.stack([inst.signal_idx for inst in insts]),
         np.stack([inst.y_tilde for inst in insts]), np.stack([inst.ys for inst in insts]))
     for b, inst in enumerate(insts):
@@ -211,10 +217,12 @@ def test_score_matches_direct_residual_d2():
                 ss += np.sum((y - x @ c @ x.T / math.sqrt(n)) ** 2)
             const = np.sum(inst.y_tilde ** 2) + sum(np.sum(y ** 2) for y in inst.ys)
             return np.sum(np.log(m.prior.weights[list(cfg)])) - 0.5 * (ss - const)
-        lw = np.array([log_weight(cfg) for cfg in enum.configs])
+        lw = np.array([log_weight(cfg) for cfg in configs])
         npt.assert_allclose(log_z[b], logsumexp(lw), rtol=0, atol=1e-12)
-        npt.assert_allclose(p[b], np.exp(lw - logsumexp(lw)), rtol=0, atol=1e-14)
-        npt.assert_allclose(means[b], np.einsum("m,mia->ia", p[b], m.prior.atoms[enum.configs]),
+        p = np.exp(lw - logsumexp(lw))
+        tallies = [np.bincount(cfg, minlength=m.prior.atom_count) for cfg in configs]
+        npt.assert_allclose(counts[b], p @ tallies, rtol=0, atol=1e-14)
+        npt.assert_allclose(means[b], np.einsum("m,mia->ia", p, m.prior.atoms[configs]),
                             rtol=0, atol=1e-14)
         prior_lw = np.sum(np.log(m.prior.weights[inst.signal_idx]))
         npt.assert_allclose(ll_signal[b], log_weight(inst.signal_idx) - prior_lw, rtol=0, atol=1e-12)
@@ -320,6 +328,20 @@ def test_replica_memory_bounded_by_n_d():
     assert res.mi_per_row == 0.0
     with pytest.raises(ValueError, match=r"n d = 520, \(n d\)\^2 > 250000"):
         oracle.replica_average(m, 26, 2, seed=0)
+    # M = 2^17 = 131,072 configurations: the data-free log weights come from
+    # atom counts, so no (M, n) index array and no (M, d, d) Gram matrices are
+    # built (measured 3.9 and 5.9 MB; with them 38.9 MB, and the d = 20 Gram
+    # matrices alone take 419 MB)
+    two_atoms = ModelSpec(d, (0.5 * np.eye(d),), 0.1 * np.eye(d),
+                          priors.discrete([np.ones(d), -np.ones(d)], [0.5, 0.5]))
+    for model in (rademacher_model(2.0, s=0.2), two_atoms):
+        tracemalloc.start()
+        try:
+            oracle.replica_average(model, 17, 2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * oracle.CHUNK_DOUBLES
 
 
 def test_nishimori_within_mc_error():
@@ -345,7 +367,8 @@ def test_nishimori_exact_under_data_quadrature():
     rhs = np.zeros((1, 1))
     atoms = m.prior.atoms
     a_root = psdlinalg.sqrtm_psd(m.s)
-    enum = oracle._enumerate(m, n, a_root)
+    coupling = np.asarray(m.couplings[0])
+    configs = np.indices((m.prior.atom_count,) * n).reshape(n, -1).T   # row-major, (M, n)
     for _ in range(64):   # arbitrary common data nodes
         y_tilde = rng.normal(scale=2.0, size=(n, 1))
         y = rng.normal(scale=2.0, size=(n, n))
@@ -354,10 +377,15 @@ def test_nishimori_exact_under_data_quadrature():
                                      signal_idx=np.zeros(n, dtype=np.int64),
                                      y_tilde=y_tilde, ys=(y,))
         summ = oracle.exact_posterior(inst)
-        # joint E[X^T <X~>] with the X-average done by the posterior
-        p = oracle._score(m, enum, a_root, inst.signal_idx[None], y_tilde[None], y[None, None])[3][0]
+        # joint E[X^T <X~>] with the X-average done by the posterior, its log
+        # weights coded here from the residual
+        lw = np.array([np.sum(np.log(m.prior.weights[cfg]))
+                       - 0.5 * np.sum((y_tilde - atoms[cfg] @ a_root) ** 2)
+                       - 0.5 * np.sum((y - atoms[cfg] @ coupling @ atoms[cfg].T / math.sqrt(n)) ** 2)
+                       for cfg in configs])
+        p = np.exp(lw - logsumexp(lw))
         mean_rows = summ.per_row_mean
-        for cfg, pc in zip(enum.configs, p):
+        for cfg, pc in zip(configs, p):
             x = atoms[cfg]
             lhs += pc * (x.T @ mean_rows) / n
         rhs += mean_rows.T @ mean_rows / n

@@ -110,6 +110,11 @@ def test_traced_oracle_records_each_chunk(tracer, tmp_path, monkeypatch):
     assert calls.count(("oracle", "replica_average")) == 1
     assert calls.count(("oracle.logsumexp", "logsumexp")) == chunks
     assert calls.count(("kernels.enum", "config_quadratic_terms")) == chunks
+    # the hook reads the kernel's first argument for (M, n) only: the oracle's
+    # zero-stride stand-in must keep kernels.enum_terms and enum_ms_n10 keyed
+    enum_id = t.names.index(("kernels.enum", "config_quadratic_terms"))
+    shapes = [t.payload[i]["shape"] for i, name in enumerate(t.name) if name == enum_id]
+    assert shapes == [(2 ** n, n)] * chunks
     metrics = tracer.layer_metrics(t, {t.job_id})
     assert metrics["kernels.enum_calls"] == chunks
     assert metrics["oracle.lse_self_s"] > 0
