@@ -173,22 +173,6 @@ def parse_model(text):
         raise ConfigError(f"field 's': {exc}") from None
 
 
-def serialize_model(model):
-    """Model document (JSON text); parse_model round-trips it exactly."""
-    prior = model.prior
-    if prior.kind == priors.DISCRETE:
-        pdoc = {"discrete": {"atoms": _matrix(prior.atoms),
-                             "weights": list(map(float, prior.weights))}}
-    else:
-        pdoc = {"gaussian": {"cov": _matrix(prior.cov)}}
-    return to_json_text({
-        "d": model.d,
-        "couplings": [_matrix(b) for b in model.couplings],
-        "s": _matrix(model.s),
-        "prior": pdoc,
-    }) + "\n"
-
-
 def parse_rotinv_model(text):
     """Parse a rotationally-invariant estimation document (JSON text)."""
     try:

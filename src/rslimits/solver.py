@@ -12,23 +12,15 @@ the selection rule everywhere in this module.
 Fixed points are found by :func:`fixed_point`.  It works on a flat
 coordinate vector with a projection onto the admissible set (here vech(q),
 off-diagonal entries scaled by sqrt(2) so the Euclidean norm is the
-Frobenius norm, projected onto the PSD cone).  It runs
-Anderson acceleration (type II, window ``ANDERSON_WINDOW``, mixing
-``SolveSettings.damping``; Walker & Ni 2011) and falls back to the damped
-step q <- (1-beta) q + beta T(q) when an accelerated run stalls.
-Acceleration is a root finder: it converges to unstable fixed points as
-readily as to stable ones (from the uninformative start it lands on q = 0,
-which the damped iteration escapes).  So every returned point carries a
-stability certificate, the spectral radius of the damped map's Jacobian by
-forward differences (unstable above 1 + 2 sqrt(tol), the error bound of that
-difference), and an unstable point is left along its unstable direction
-before the run goes on, within the same ``max_iters`` budget.  Each step
-off it may double the distance travelled, so leaving takes O(log distance)
-map calls where damped steps take O(log distance / log radius).  The
-selection rule therefore compares the stable fixed points the damped
-iteration converges to; where several coexist, which one a start reaches can
-differ from the damped iteration's, and the test suite checks the selected
-value against damped state evolution through a first-order transition.
+Frobenius norm, projected onto the PSD cone).  It extrapolates the damped
+step q <- (1-beta) q + beta T(q), beta = ``SolveSettings.damping``, by
+SQUAREM, which speeds toward stable fixed points and away from unstable ones
+(from the uninformative start it walks off q = 0), and certifies the
+stability of every point it returns.  The selection rule therefore compares
+the stable fixed points the damped iteration converges to; where several
+coexist, which one a start reaches can differ from the damped iteration's,
+and the test suite checks the selected value against damped state evolution
+through a first-order transition.
 
 Every selection reads one list of branches (:func:`_branches`): the runs
 from all inits, merged where their q* agree within ``DEGENERACY_Q_TOL``.
@@ -60,8 +52,6 @@ UNINFORMATIVE_SCALE = 1e-3   # strict zero can be a symmetry-pinned fixed point
 DEGENERACY_VALUE_TOL = 1e-6
 DEGENERACY_Q_TOL = 1e-5
 FINITE_DIFF_STEP = 1e-4      # relative step of the S-gradient in predict_mmse
-ANDERSON_WINDOW = 3          # past differences in each least-squares mix
-STALL_STEPS = 5              # accelerated steps without a new best residual before damping
 
 
 @dataclass(frozen=True)
@@ -110,7 +100,7 @@ def _stability(step, x, g, beta, h):
 
 
 def fixed_point(step, x0, settings, project):
-    """Certified fixed point of ``step``: Anderson-accelerated, damped fallback.
+    """Certified fixed point of ``step`` by squared extrapolation of the damped step.
 
     ``step`` maps flat coordinates x to the undamped update T(x); ``project``
     maps any x to the nearest admissible point and is applied to ``x0``, to
@@ -118,33 +108,25 @@ def fixed_point(step, x0, settings, project):
     admissible points stays admissible).  Returns ``(x, residual, iterations,
     converged, stability_radius)``.
 
-    * Iteration: Anderson type II over the last ``ANDERSON_WINDOW``
-      differences, mixing ``beta = settings.damping``; the run stops when
-      the residual |T(x) - x| is at most ``settings.tol``.
-    * Fallback: after ``STALL_STEPS`` accelerated steps with no new best
-      residual, plain damped steps x <- x + beta (T(x) - x) until the
-      residual falls below that best, then acceleration restarts with an
-      empty history.
+    * Iteration: SQUAREM cycles (Varadhan & Roland 2008) over the damped map
+      with ``beta = settings.damping`` and F = T - x.  From y0 a cycle takes
+      the damped step y1 = y0 + r, r = beta F(y0), sets v = beta (F(y1) -
+      F(y0)) and a = min(-1, -|r| / |v|) (a = -1 when v = 0), and moves to
+      project(y0 - 2a r + a^2 v), whose map call starts the next cycle.  On a
+      linear map with rate c this multiplies the error by (1 - a(c - 1))^2:
+      zero on a contraction, at least 4 near an expanding point, so cycles
+      speed toward stable points and away from unstable ones.  The run stops
+      at the first evaluated x whose residual |T(x) - x| is at most
+      ``settings.tol``.
     * Certificate: at every returned point, the spectral radius of the
       damped map's Jacobian by forward differences with step h = sqrt(tol)
       (``x.size`` map calls, the last iteration's T(x) as base point).  The
       forward difference is off by O(h) and a base point within tol of the
       fixed point moves the quotient by O(tol / h), so a radius above
       1 + h + tol / h marks an unstable point.
-    * Escape: off an unstable point u the run nudges x along the unstable
-      eigenvector toward ``x0`` (by |x0 - x|, at least h), then takes escape
-      steps x <- project(x + max(beta, |x - u| / |F(x)|) F(x)), F = T - x:
-      the longer of the damped step and a step of length |x - u|, so the
-      distance from u grows geometrically, at most doubling per map call
-      unless the damped step is longer.  Escape ends
-      at the first iteration where the residual falls or F turns back
-      toward u (F . (x - u) <= 0); from there damped steps run until the
-      residual falls, then acceleration resumes.  An accelerated iterate
-      that lands closer to a known unstable point than half the current
-      iterate's distance to it is replaced by the damped step, with the
-      Anderson history cleared, so the secant cannot jump straight back.
-      If the run comes back to a known unstable point (within h) anyway,
-      it finishes with damped steps only, without escape steps.
+    * Unstable point: the run nudges x along the unstable eigenvector toward
+      ``x0`` (by |x0 - x|, at least h) and starts a new cycle there.  A
+      return within h of a known unstable point ends the run at that point.
     * Budget: ``iterations`` counts the map calls of the iteration and never
       exceeds ``settings.max_iters``; certificate calls are not counted.  At
       the cap the last evaluated iterate is returned with ``converged=False``
@@ -155,57 +137,29 @@ def fixed_point(step, x0, settings, project):
     h = math.sqrt(tol)
     margin = h + tol / h
     start = x = project(np.asarray(x0, dtype=np.float64))
-    xs, fs = [], []                     # accelerated history
-    accelerate = may_accelerate = True
-    best, since_best, ceiling, unstable = np.inf, 0, np.inf, []
-    escape = None                       # the unstable point being left
+    cycle, unstable = None, []          # cycle: the current cycle's y0 and r
     for iterations in range(1, settings.max_iters + 1):
         g = step(x)
         last, f = (x, g), g - x
         residual = float(np.linalg.norm(f))
         if residual <= tol:
             radius, v = _stability(step, x, g, beta, h)
-            if (radius <= 1.0 + margin or not may_accelerate
-                    or iterations == settings.max_iters):
+            if (radius <= 1.0 + margin or iterations == settings.max_iters
+                    or any(np.linalg.norm(x - u) <= h for u in unstable)):
                 return x, residual, iterations, True, radius
-            if any(np.linalg.norm(x - u) <= h for u in unstable):
-                may_accelerate = False
             unstable.append(x)
-            escape = x if may_accelerate else None
             toward = start - x
             x = project(x + math.copysign(max(np.linalg.norm(toward), h), v @ toward) * v)
-            accelerate, ceiling, prev = False, np.inf, residual
-            continue
-        if escape is not None and (residual < prev or f @ (x - escape) <= 0.0):
-            escape = None
-        if not accelerate:
-            if may_accelerate and residual < min(prev, ceiling):
-                accelerate, best, since_best, xs, fs = True, residual, 0, [], []
-        elif residual < best:
-            best, since_best = residual, 0
-        else:
-            since_best += 1
-            if since_best >= STALL_STEPS:
-                accelerate, ceiling = False, best
-        prev = residual
-        if escape is not None:
-            x = project(x + max(beta, np.linalg.norm(x - escape) / residual) * f)
-            continue
-        if not accelerate:
+            cycle = None
+        elif cycle is None:
+            cycle = x, beta * f
             x = x + beta * f
-            continue
-        xs.append(x)
-        fs.append(f)
-        del xs[:-ANDERSON_WINDOW - 1], fs[:-ANDERSON_WINDOW - 1]
-        x_next = x + beta * f
-        if len(xs) > 1:
-            dx, df = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
-            gamma = np.linalg.lstsq(df, f, rcond=None)[0]
-            x_next = x_next - (dx + beta * df) @ gamma
-        x_next = project(x_next)
-        if any(np.linalg.norm(x_next - u) < 0.5 * np.linalg.norm(x - u) for u in unstable):
-            x_next, xs, fs = x + beta * f, [], []
-        x = x_next
+        else:
+            y0, r = cycle
+            v = beta * f - r
+            norm_v = np.linalg.norm(v)
+            a = min(-1.0, -np.linalg.norm(r) / norm_v) if norm_v > 0.0 else -1.0
+            x, cycle = project(y0 - 2.0 * a * r + a * a * v), None
     x, g = last
     return x, residual, iterations, False, _stability(step, x, g, beta, h)[0]
 

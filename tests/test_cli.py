@@ -73,22 +73,6 @@ def test_parse_wishart_embedding_document():
     assert not check_hypothesis(m).holds
 
 
-def test_model_round_trip():
-    for doc in (WIGNER_DOC, RADEMACHER_DOC):
-        m = cli.parse_model(doc)
-        m2 = cli.parse_model(cli.serialize_model(m))
-        assert m2.d == m.d
-        npt.assert_array_equal(m2.s, m.s)
-        for a, b in zip(m2.couplings, m.couplings):
-            npt.assert_array_equal(a, b)
-        assert m2.prior.kind == m.prior.kind
-        if m.prior.kind == priors.DISCRETE:
-            npt.assert_array_equal(m2.prior.atoms, m.prior.atoms)
-            npt.assert_array_equal(m2.prior.weights, m.prior.weights)
-        else:
-            npt.assert_array_equal(m2.prior.cov, m.prior.cov)
-
-
 def test_parse_rotinv():
     m = cli.parse_rotinv_model(ROTINV_DOC)
     assert m.alpha == 1.0 and m.lam == 1.0

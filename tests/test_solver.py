@@ -151,10 +151,10 @@ def test_se_iterate_refuses_bad_q0():
                                            (2.0, 0.6184475351921406)])
 def test_se_iterate_leaves_unstable_zero(lam, q_damped):
     # q = 0 is a fixed point of the symmetric prior, unstable for lambda > 1
-    # (damped-map radius (1 + lambda)/2); acceleration from the uninformative
-    # start lands on it within a few steps and must leave it, by escape steps
-    # that at most double the distance from it, for the damped iteration's
-    # fixed point (q_damped, recorded with damped state evolution)
+    # (damped-map radius (1 + lambda)/2); squared extrapolation multiplies the
+    # offset from it by at least 4 per cycle, so the uninformative start walks
+    # off it (19 and 17 iterations, one certificate each) to the damped
+    # iteration's fixed point (q_damped, recorded with damped state evolution)
     m = rademacher_model(lam)
     res = solver.se_iterate(m, solver.UNINFORMATIVE_SCALE * m.rho_bar(), quad=GH63)
     assert res.converged and res.stability_radius < 1.0
@@ -168,8 +168,9 @@ def test_se_iterate_leaves_unstable_zero(lam, q_damped):
 @pytest.mark.parametrize("lam", [1.01, 1.05, 1.1])
 def test_se_iterate_escape_budget_d1(lam):
     # near lambda_c the radius of q = 0 is close to 1, so damped steps off it
-    # grow the offset slowly (464 / 177 / 112 iterations); escape steps that
-    # double the distance from q = 0 per map call leave it in a handful
+    # grow the offset slowly (464 / 177 / 112 iterations); squared
+    # extrapolation grows it at least 4-fold per cycle of two map calls and
+    # reaches the stable point in 19 / 19 / 15
     m = rademacher_model(lam)
     q0 = solver.UNINFORMATIVE_SCALE * m.rho_bar()
     res = solver.se_iterate(m, q0, quad=GH63)
@@ -183,14 +184,32 @@ def test_se_iterate_escape_budget_d1(lam):
 PRODUCT_PM1 = priors.discrete([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], [0.25] * 4)
 
 
-@pytest.mark.parametrize("lam1, lam2, c", [(1.5, 1.2, 0.0), (2.0, 1.05, 0.0),
-                                           (1.1, 0.8, 0.2), (3.0, 2.0, -0.4)])
-def test_se_iterate_escape_at_singular_boundary_d2(lam1, lam2, c):
+def _coarse_floored_gauss_hermite(scheme, dim):
+    # drops the lightest nodes while their cumulative D = sum q_m (1 + |W_m|^2 / 2)
+    # stays <= 1e-16: a grid that moves the channel's sums only at rounding level
+    nodes, weights = scheme.nodes_weights(dim)
+    order = np.argsort(weights, kind="stable")
+    mass = weights[order] * (1.0 + 0.5 * np.sum(nodes[order] ** 2, axis=1))
+    drop = np.zeros(weights.size, dtype=bool)
+    drop[order[np.cumsum(mass) <= 1e-16]] = True
+    return nodes[~drop], weights[~drop]
+
+
+D2_BOUNDARY = [(1.5, 1.2, 0.0), (2.0, 1.05, 0.0), (1.1, 0.8, 0.2), (3.0, 2.0, -0.4)]
+
+
+@pytest.mark.parametrize("lam1, lam2, c, floored", [
+    *(pytest.param(*case, channel._floored_gauss_hermite, id="-".join(map(str, case)))
+      for case in D2_BOUNDARY),
+    *(pytest.param(*case, _coarse_floored_gauss_hermite,
+                   id="-".join(map(str, case)) + "-mass-floor") for case in D2_BOUNDARY)])
+def test_se_iterate_escape_at_singular_boundary_d2(lam1, lam2, c, floored, monkeypatch):
     # S = 0 and q = 0 at d = 2: S + r*(q) is singular there, and the
     # certificate's off-diagonal differences see the map's clipping at zero.
-    # (2.0, 1.05, 0) passes through the saddle q = diag(0.618, 0), which the
-    # Anderson secant jumps back to after a fast escape unless the safeguard
-    # replaces that step by a damped one (756 iterations without it)
+    # (2.0, 1.05, 0) passes through the saddle q = diag(0.618, 0); squared
+    # extrapolation walks off it as off q = 0, so the count must not hinge on
+    # the channel's last digits: 27, 35, 19 and 23 iterations under both grids
+    monkeypatch.setattr(channel, "_floored_gauss_hermite", floored)
     b = np.array([[np.sqrt(lam1 / 2.0), c], [c, np.sqrt(lam2 / 2.0)]])
     m = ModelSpec(2, (b,), np.zeros((2, 2)), PRODUCT_PM1)
     quad = gauss_hermite(31)
@@ -230,26 +249,47 @@ def test_first_order_transition_matches_damped_reference():
 
 
 def test_stalled_acceleration_falls_back_to_damping():
-    # lambda = 285, informative start: accelerated steps stall near q = 0.02,
-    # where T(q) - q comes within 2.6e-4 of zero without a root; damped steps
-    # carry the run past it to q = 0.  Damped alone takes 212 iterations,
-    # acceleration without the fallback 226.
+    # lambda = 285, informative start: near q = 0.02 T(q) - q comes within
+    # 2.6e-4 of zero without a root, where damped steps crawl (212 iterations
+    # in all); squared extrapolation crosses the near-root and reaches q = 0
+    # in 9
     m = sparse_model(285)
     res = solver.se_iterate(m, m.rho_bar(), quad=GH63)
     assert res.converged and res.q_star[0, 0] < 1e-9
     assert res.iterations <= 150
 
 
-def test_fixed_point_finishes_damped_on_return_to_unstable_point():
-    # T(x) = 2x with every x projected to 0: each nudge off the unstable
-    # fixed point 0 (damped-map radius 1.5) lands back on it, and the second
-    # return ends the run with the point as found, not at the 10,000-call cap
+def test_fixed_point_ends_on_first_return_to_unstable_point():
+    # T(x) = 2x with every x projected to 0: the nudge off the unstable fixed
+    # point 0 (damped-map radius 1.5) lands back on it, and that first return
+    # ends the run with the point as found, not at the 10,000-call cap
     x, residual, iterations, converged, radius = solver.fixed_point(
         lambda x: 2 * x, [0.0], None, lambda x: np.zeros_like(x))
     npt.assert_array_equal(x, [0.0])
     assert converged and residual == 0.0
     assert radius == pytest.approx(1.5)
-    assert iterations == 3
+    assert iterations == 2
+
+
+@pytest.mark.parametrize("step, x0, x_star", [
+    (lambda x: np.minimum(2.0 * x, 1.0), [1e-3], [1.0]),
+    (lambda x: np.array([min(2.0 * x[0], 1.0), 0.5 * x[1]]), [1e-3, 0.5], [1.0, 0.0])],
+    ids=["1d", "2d-saddle"])
+def test_fixed_point_walks_off_unstable_points_without_a_certificate(step, x0, x_star):
+    # 0 is unstable along the first coordinate (damped-map radius 1.5): the
+    # run from near it must reach the stable point without ever converging on
+    # 0, so the only uncounted map calls are the one certificate's x.size
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return step(x)
+
+    x, residual, iterations, converged, radius = solver.fixed_point(
+        counting, x0, None, lambda x: np.clip(x, 0.0, 1.0))
+    assert converged and radius < 1.0
+    npt.assert_allclose(x, x_star, atol=1e-10)
+    assert len(calls) == iterations + len(x0)
 
 
 def test_sweep_path_refuses_unknown_kind():
@@ -518,9 +558,9 @@ def test_sweep_monotone_and_threshold(fast_settings):
 
 
 def test_sweep_c2_work_count(monkeypatch):
-    # the C2 sweep: the runs that leave the unstable q = 0 made 1,466 of 2,090
-    # SE iterations with damped escape; iteration counts repeat exactly, so
-    # this guards the escape's saving without a wall-clock gate
+    # the C2 sweep takes 975 SE iterations, the runs that start near the
+    # unstable q = 0 included; iteration counts repeat exactly, so this guards
+    # the extrapolation's saving without a wall-clock gate
     runs = _recording_se_iterate(monkeypatch)
     lams = np.round(np.arange(0.5, 2.0001, 0.05), 10)
     rows = solver.sweep(rademacher_model(2.0), solver.SweepPath("coupling", 0),
