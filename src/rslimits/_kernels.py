@@ -5,10 +5,8 @@ Kernels
 * ``channel_discrete_moments``: mutual information and posterior moments of
   a discrete prior seen through a Gaussian channel, summed over (atom,
   quadrature node) pairs in one fused pass per chunk of ``CHUNK_LOGITS``
-  logits: one GEMM, one ``exp``; ``moments=False`` stops after log Z.  A
-  chunk's arrays are sized to stay in cache; the nodes are whatever the
-  caller passes (the channel passes a Gauss-Hermite grid without its
-  negligible nodes).
+  logits: one GEMM, one ``exp`` of the unshifted logits, a sum;
+  ``moments=False`` stops after log Z.
 * ``config_quadratic_terms``: data-dependent part of the log posterior
   weight of every enumerated signal configuration, for a chunk of data
   replicas at once: head-only and tail-only terms plus one batched bilinear
@@ -46,44 +44,45 @@ def get_backend():
 def channel_discrete_moments(logw, c, D, atoms, nodes, node_w, *, moments=True):
     """Channel moments in one fused pass per chunk of quadrature nodes.
 
-    logw (K,), c (K, K), D (K, K, d) = A (x_k - x_j), atoms (K, d),
-    nodes (M, d), node_w (M,).
+    logw (K,) finite (atoms of weight > 0 only), c (K, K),
+    D (K, K, d) = A (x_k - x_j), atoms (K, d), nodes (M, d), node_w (M,).
     Returns (mi, second_moment (d,d), mean_outer (d,d)) where
-      mi = -sum_k w_k E_W[logsumexp_j(logw_j + c_kj - D_kj . W)]
+      mi = -sum_k w_k E_W[log sum_j exp(logw_j + c_kj - D_kj . W)]
       second_moment = sum_k w_k E_W[sum_j p_j x_j x_j^T]
       mean_outer   = sum_k w_k E_W[m m^T],  m = sum_j p_j x_j
     with p the posterior over atoms given the channel output.  With
     ``moments=False`` the pass stops after log Z and returns (mi, None, None).
 
-    Per chunk of m nodes the logits are one (K^2, d) x (d, m) GEMM into one
-    (K, K, m) buffer indexed [j, k, m] (at most CHUNK_LOGITS entries, the
-    largest array; j leads, so reductions over j run over whole rows),
-    exponentiated once for both log Z = max + log sum e and the posterior.
-    Scaled by sqrt(w_k q_m) that is P~ (K, K m): pj = P~ sqrt(w q) gives the
-    second moment (atoms^T * pj) @ atoms, and the mean outer product is
-    atoms^T (P~ P~^T) atoms.
+    Per chunk of m nodes the logits are one (K^2, d+1) x (d+1, m) GEMM, rows
+    [-D_kj | logw_j + c_kj] against [W^T; 1], into one (K, K, m) buffer
+    indexed [j, k, m] (at most CHUNK_LOGITS entries, the largest array; j
+    leads, so reductions over j run over whole rows), exponentiated once for
+    both Z and the posterior without a max-shift: with c_kj = -|D_kj|^2 / 2
+    a logit is logw_j - |D_kj + W|^2 / 2 + |W|^2 / 2 and the j = k one is
+    log w_k, so w_k <= Z <= exp(|W|^2 / 2), finite while |W|^2 / 2 < 709
+    (see channel).  Scaled by sqrt(w_k q_m) the posterior is P~ (K, K m):
+    pj = P~ sqrt(w q) gives the second moment (atoms^T * pj) @ atoms, and the
+    mean outer product is atoms^T (P~ P~^T) atoms.
     """
     K, d = atoms.shape
     M = nodes.shape[0]
     w_prior = np.exp(logw)
-    base = (logw[None, :] + c).T[:, :, None]           # [j, k]: logw_j + c_kj
-    Dj = D.transpose(1, 0, 2).reshape(K * K, d)        # row j K + k: D_kj
+    coef = np.dstack([-D, logw + c]).transpose(1, 0, 2).reshape(K * K, d + 1)   # row j K + k
     mi = 0.0
     pj = np.zeros(K)
     gram = np.zeros((K, K))
     chunk = max(1, CHUNK_LOGITS // (K * K))
     store = np.empty(K * K * min(chunk, M))            # one buffer, reused by every chunk
+    points = np.ones((d + 1, min(chunk, M)))           # [W^T; 1], last row ones
     for lo in range(0, M, chunk):
         qw = node_w[lo:lo + chunk]                     # (m,)
         m = qw.shape[0]
         buf = store[:K * K * m].reshape(K, K, m)
-        np.matmul(Dj, nodes[lo:lo + chunk].T, out=buf.reshape(K * K, m))
-        np.subtract(base, buf, out=buf)                # logits [j, k, m]
-        top = buf.max(axis=0)                          # (K, m), finite: w_j > 0 for some j
-        buf -= top
+        points[:d, :m] = nodes[lo:lo + chunk].T
+        np.matmul(coef, points[:, :m], out=buf.reshape(K * K, m))
         np.exp(buf, out=buf)
-        z = buf.sum(axis=0)                            # (K, m)
-        mi -= float(w_prior @ (top + np.log(z)) @ qw)  # log Z = top + log z
+        z = buf.sum(axis=0)                            # (K, m), >= w_k
+        mi -= float(w_prior @ np.log(z) @ qw)
         if not moments:
             continue
         root = np.sqrt(np.multiply.outer(w_prior, qw))

@@ -217,23 +217,26 @@ def _branches(model, settings, quad, extra_inits=()):
     ``extra_inits``) and keeps the converged runs, or every run if none
     converged.  Runs whose q* lie within ``DEGENERACY_Q_TOL`` of each other
     are one branch, represented by its run with the smallest residual, so
-    distinct branches are more than ``DEGENERACY_Q_TOL`` apart.
+    distinct branches are more than ``DEGENERACY_Q_TOL`` apart.  A branch's
+    ``init_label`` joins with ``+``, in init order, every start that close.
     """
     rho = model.rho_bar()
     inits = (("uninformative", UNINFORMATIVE_SCALE * rho), ("informative", rho), *extra_inits)
     runs = [se_iterate(model, q0, settings, quad, init_label=label) for label, q0 in inits]
+    runs = [r for r in runs if r.converged] or runs
     branches = []
-    for run in sorted([r for r in runs if r.converged] or runs, key=lambda r: r.residual):
+    for run in sorted(runs, key=lambda r: r.residual):
         if all(psdlinalg.frobenius(run.q_star - b.q_star) > DEGENERACY_Q_TOL for b in branches):
             branches.append(run)
-    return branches
+    return [replace(b, init_label="+".join(r.init_label for r in runs if psdlinalg.frobenius(
+        r.q_star - b.q_star) <= DEGENERACY_Q_TOL)) for b in branches]
 
 
 def solve_f(model, settings=None, quad=None, extra_inits=()):
     """Single-letter value: the branch with the smallest potential value.
 
-    Where several inits reach the same fixed point, ``init_label`` and
-    ``iterations`` are those of the run with the smallest residual (see
+    Where several inits reach the same fixed point, ``init_label`` names them
+    all and ``iterations`` is that of the run with the smallest residual (see
     :func:`_branches`); ``converged`` is False only if no run converged.
     """
     return min(_branches(model, settings, quad, extra_inits), key=lambda b: b.f_value)
@@ -400,10 +403,8 @@ def sweep(model, path, grid, settings=None, quad=None):
     The previous grid point's q* is reused as an extra init (hysteresis
     tracking near first-order transitions), which makes the sweep sequential
     by contract.  A failing point yields an unconverged row and the sweep
-    continues.  A row's ``branch`` is the label :func:`solve_f` reports:
-    where several inits reach the same q*, the run with the smallest
-    residual.  A path that names no entry of ``model`` raises ValueError
-    before any point is solved.
+    continues.  A row's ``branch`` is :func:`solve_f`'s label.  A path that
+    names no entry of ``model`` raises ValueError before any point is solved.
     """
     path.check(model)
     rows = []

@@ -1,7 +1,9 @@
 """Brute-force loop versions of the kernels in ``rslimits._kernels``.
 
 Each loop follows the formula in the docstring of the vectorized kernel
-term by term; tests/test_kernels.py uses them as the reference.
+term by term; tests/test_kernels.py uses them as the reference.  The channel
+loop shifts each log-sum-exp by its maximum, which the vectorized kernel
+leaves out on its stated domain, so the two agree only inside it.
 """
 
 import numpy as np

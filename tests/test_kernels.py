@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from rslimits import _kernels, channel, oracle, priors, psdlinalg
@@ -39,7 +40,7 @@ def test_channel_moments_match_reference(rng, monkeypatch):
              # the floored GH-21^3 grid: 7,197 nodes, 4,096 + 3,101 at K = 4
              (random_discrete_prior(rng, 3), gauss_hermite(21), None),
              (_product_prior_d4(), monte_carlo(64, seed=2), None),
-             # last: a zero-weight atom, whose -inf logits the one exp sends to 0
+             # last: a zero-weight atom, which the channel leaves out of the kernel
              (priors.discrete(atoms + [[2.0, 2.0]], weights + [0.0]), monte_carlo(3000, seed=6), None)]
     for prior, quad, chunk_logits in cases:
         with monkeypatch.context() as mp:
@@ -62,6 +63,51 @@ def test_channel_moments_match_reference(rng, monkeypatch):
     without = _channel_pair(priors.discrete(atoms, weights), quad)
     npt.assert_allclose(fast[0], without[0], rtol=0, atol=1e-13)
     npt.assert_allclose(fast[1], without[1], rtol=0, atol=1e-13)
+
+
+def test_floored_grids_stay_inside_the_unshifted_kernel_domain():
+    # the kernel exponentiates logits <= |W|^2 / 2 without a shift and exp
+    # overflows at 709; these floored grids stay below 45 (the worst rule
+    # with n <= 300 at d = 1, 2 is GH-29 at d = 1, 45.3)
+    for n, dims in ((63, (1, 2)), (191, (1, 2)), (300, (1, 2)), (21, (3,)), (60, (3,))):
+        for d in dims:
+            nodes, _ = channel._kernel_nodes(gauss_hermite(n), d)
+            assert 0.5 * np.max(np.sum(nodes ** 2, axis=1)) <= 45.0, (n, d)
+
+
+def test_unshifted_kernel_matches_shifted_reference_at_high_snr(rng, monkeypatch):
+    # logits down to -|D|^2 / 2 ~ -2e4 underflow to 0 in the unshifted sum,
+    # while the j = k term log w_k keeps Z >= w_k; the reference shifts by
+    # the maximum.  The d = 4 case spans three chunks of 256 nodes.  The
+    # kernel's outputs are compared: the d = 4 MMSE is their difference, two
+    # O(1) sums that cancel down to 2e-9, and the loop's sequential sums move
+    # it by 1.1e-13 against either kernel, shifted or not.
+    cases = [(priors.rademacher(), gauss_hermite(63), 1e4 * np.eye(1)),
+             (random_discrete_prior(rng, 2), gauss_hermite(63), 1e3 * np.eye(2)),
+             (_product_prior_d4(), monte_carlo(600, seed=5), 25.0 * np.eye(4))]
+    assert 600 > 2 * _kernels.CHUNK_LOGITS // 16 ** 2
+    for prior, quad, snr in cases:
+        a = psdlinalg.sqrtm_psd(snr)
+        fast = channel._discrete_moments(prior, a, quad, moments=True)
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernels, "channel_discrete_moments", ref.channel_discrete_moments)
+            slow = channel._discrete_moments(prior, a, quad, moments=True)
+        npt.assert_allclose(fast[0], slow[0], rtol=1e-12, atol=1e-13)
+        for got, want in zip(fast[1:], slow[1:]):
+            npt.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+
+
+def test_node_outside_the_kernel_domain_is_refused(monkeypatch):
+    # W = 40 against the atom difference D = -40 (A = 20): a logit of
+    # log(1/2) + |W|^2 / 2 = 799 overflows exp, and the channel refuses the
+    # infinite MI and the NaN MMSE rather than return a number
+    monkeypatch.setattr(channel, "_kernel_nodes",
+                        lambda quad, dim: (np.array([[40.0], [0.0]]), np.array([1e-3, 1 - 1e-3])))
+    snr = 400.0 * np.eye(1)
+    for core in (channel._mi_core, channel._mmse_core):
+        with pytest.warns(RuntimeWarning) as caught, pytest.raises(FloatingPointError):
+            core(priors.rademacher(), snr, gauss_hermite(63))
+        assert "overflow encountered in exp" in str(caught[0].message)
 
 
 def test_channel_kernel_memory_bounded():

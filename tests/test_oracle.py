@@ -10,6 +10,7 @@ from scipy.stats import chisquare
 
 from rslimits import channel, oracle, priors, psdlinalg
 from rslimits.potential import ModelSpec
+from rslimits.quadrature import gh_nodes_1d
 
 from conftest import rademacher_model
 
@@ -358,38 +359,36 @@ def test_nishimori_exact_for_symmetric_model():
 
 
 def test_nishimori_exact_under_data_quadrature():
-    # replace the data average by quadrature over common data nodes: the
-    # conditional X-average is exact, so both sides agree pointwise
+    # E<Q> = E<Q^(1,2)> with the data average done exactly: the true signal
+    # summed over its four configurations with their prior weights, the noise
+    # by GH-40 per dimension.  For a Rademacher prior at n = 2 the posterior
+    # reads the data only through y~ and Y_12 + Y_21 (x_i^2 = 1), so three
+    # noise dimensions carry the average: the two of y~, and the symmetric
+    # off-diagonal part, N(0, 2) in the sum, put half in Y_12 and half in
+    # Y_21.  Residual 4e-12 (GH-20: 2.7e-9); a posterior prior weight off by
+    # 0.05 moves it to 4.3e-3.
     m = rademacher_model(1.0, s=0.4)
     n = 2
-    rng = np.random.default_rng(0)
-    lhs = np.zeros((1, 1))
-    rhs = np.zeros((1, 1))
-    atoms = m.prior.atoms
+    atoms, weights = m.prior.atoms, m.prior.weights
     a_root = psdlinalg.sqrtm_psd(m.s)
-    coupling = np.asarray(m.couplings[0])
-    configs = np.indices((m.prior.atom_count,) * n).reshape(n, -1).T   # row-major, (M, n)
-    for _ in range(64):   # arbitrary common data nodes
-        y_tilde = rng.normal(scale=2.0, size=(n, 1))
-        y = rng.normal(scale=2.0, size=(n, n))
-        inst = oracle.FiniteInstance(model=m, n=n, seed=0,
-                                     signal=atoms[[0] * n],
-                                     signal_idx=np.zeros(n, dtype=np.int64),
-                                     y_tilde=y_tilde, ys=(y,))
-        summ = oracle.exact_posterior(inst)
-        # joint E[X^T <X~>] with the X-average done by the posterior, its log
-        # weights coded here from the residual
-        lw = np.array([np.sum(np.log(m.prior.weights[cfg]))
-                       - 0.5 * np.sum((y_tilde - atoms[cfg] @ a_root) ** 2)
-                       - 0.5 * np.sum((y - atoms[cfg] @ coupling @ atoms[cfg].T / math.sqrt(n)) ** 2)
-                       for cfg in configs])
-        p = np.exp(lw - logsumexp(lw))
-        mean_rows = summ.per_row_mean
-        for cfg, pc in zip(configs, p):
-            x = atoms[cfg]
-            lhs += pc * (x.T @ mean_rows) / n
-        rhs += mean_rows.T @ mean_rows / n
-    npt.assert_allclose(lhs, rhs, atol=1e-12)
+    enum = oracle._enumerate(m, n, a_root)
+    z, zw = gh_nodes_1d(40)
+    noise = np.stack(np.meshgrid(z, z, z, indexing="ij"), axis=-1).reshape(-1, 3)
+    node_w = np.einsum("i,j,k->ijk", zw, zw, zw).ravel()
+    count = len(node_w)
+    lhs = rhs = 0.0
+    for idx in itertools.product(range(m.prior.atom_count), repeat=n):
+        x = atoms[list(idx)]                                       # (n, 1) true signal
+        y_tilde = x @ a_root + noise[:, :n, None]
+        ys = np.tile(x @ np.asarray(m.couplings[0]) @ x.T / math.sqrt(n), (count, 1, 1, 1))
+        ys[:, 0, 0, 1] += noise[:, 2] / math.sqrt(2.0)
+        ys[:, 0, 1, 0] += noise[:, 2] / math.sqrt(2.0)
+        means = oracle._score(m, enum, a_root, np.tile(idx, (count, 1)), y_tilde, ys)[2]
+        prior_w = np.prod(weights[list(idx)]) * node_w
+        lhs += prior_w @ (means[:, :, 0] @ x[:, 0]) / n             # E[X^T <X>] / n
+        rhs += prior_w @ np.sum(means[:, :, 0] ** 2, axis=1) / n    # E[<X>^T <X>] / n
+    assert lhs > 0.3
+    npt.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
 
 
 def test_posterior_mean_shrinks():
