@@ -20,9 +20,9 @@ the state-evolution fixed points
 
     Gamma = {(E, r): E = mmse(X | sqrt(r) X + Z), r = lam R(-E lam)}
 
-plus the boundary sections E in {0, rho}.  With several fixed points the
-inf-sup value is the smallest potential value over Gamma (a dense-grid
-cross-check of this selection is part of the test suite).
+alone (:func:`solve_rotinv` shows why the boundary sections E in {0, rho}
+never do better): the inf-sup value is the smallest potential value over
+Gamma (a dense-grid cross-check of this selection is part of the test suite).
 
 Gamma, unstable points included, is the root set of psi(E) = E - mmse(...)
 on [0, rho], found by a piecewise Chebyshev proxy (:func:`scalar_roots`).
@@ -243,23 +243,21 @@ class RotInvSolution:
 
 
 def solve_rotinv(model, quad=None):
-    """inf_r sup_E of the potential, evaluated over Gamma and the E-boundaries.
+    """inf_r sup_E of the potential: the least potential value over Gamma.
 
-    The E-sections are strictly concave, so every Gamma member is an inner
-    maximizer; the outer inf selects the smallest potential value among the
-    converged ones (psi(0) <= 0 <= psi(rho): there is one).  The boundary
-    sections E in {0, rho} are evaluated explicitly in case an extremizer is
-    not interior.
+    The E-sections are strictly concave, so g(r) = sup_E i_RS(E, r) is the
+    section's value at E = rho for r <= lam R(-rho lam), at the E solving
+    r = lam R(-E lam) further on, and at E = 0 for r >= r0 = lam R(0).  On
+    the E = rho section g'(r) = (mmse(r) - rho) / 2 <= 0, past r0
+    g'(r) = mmse(r) / 2 >= 0, and in between g'(r) = -psi(E) / 2.  So the
+    inf over r lies at a Gamma point where psi crosses upward, never below
+    the boundary sections E in {0, rho} (at worst tied, by a Gamma root at
+    E = 0, r = r0), and psi(0) <= 0 < psi(rho) guarantees such a refined
+    crossing root.  Flagged near-double roots are skipped.
     """
     gamma = state_evolution(model, quad)
-    candidates = [(i_rs(model, p.e, p.r, quad), p.e, p.r) for p in gamma if p.converged]
-    rho = model.rho()
-    # boundary sections: at E = rho the inner sup of the r = 0 section, and the
-    # E = 0 section whose sup over r is at r = 0 (value I(0) >= 0, never below
-    # a Gamma value for centered priors but evaluated for safety)
-    r0 = model.lam * r_transform(model, 0.0)
-    candidates += [(i_rs(model, rho, 0.0, quad), rho, 0.0), (i_rs(model, 0.0, r0, quad), 0.0, r0)]
-    value, e_star, r_star = min(candidates, key=lambda c: c[0])
+    value, e_star, r_star = min(((i_rs(model, p.e, p.r, quad), p.e, p.r) for p in gamma
+                                 if p.converged), key=lambda c: c[0])
     return RotInvSolution(value=value, e_star=e_star, r_star=r_star, fixed_points=gamma)
 
 

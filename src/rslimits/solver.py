@@ -25,7 +25,8 @@ through a first-order transition.
 Every selection reads one list of branches (:func:`_branches`): the runs
 from all inits, merged where their q* agree within ``DEGENERACY_Q_TOL``.
 ``solve_f`` takes the least f, ``predict_mmse`` its best branch and the
-branches that tie with it in value, ``sweep`` goes through ``solve_f``.
+branches that tie with it in value (its S-gradient continues the best
+branch alone), ``sweep`` goes through ``solve_f`` warm-started at the last q*.
 ``settings=None`` means ``SolveSettings()``, read in :func:`fixed_point`;
 ``quad=None`` means the channel's default quadrature.
 
@@ -210,19 +211,21 @@ def se_iterate(model, q0, settings=None, quad=None, init_label="custom"):
     )
 
 
-def _branches(model, settings, quad, extra_inits=()):
+def _branches(model, settings, quad, warm_q=None):
     """The fixed-point branches that every selection in this module reads.
 
     Runs ``se_iterate`` from each init (uninformative, informative, then
-    ``extra_inits``) and keeps the converged runs, or every run if none
-    converged.  Runs whose q* lie within ``DEGENERACY_Q_TOL`` of each other
-    are one branch, represented by its run with the smallest residual, so
-    distinct branches are more than ``DEGENERACY_Q_TOL`` apart.  A branch's
-    ``init_label`` joins with ``+``, in init order, every start that close.
+    ``warm_q`` as ``warm-start`` if given) and keeps the converged runs, or
+    every run if none converged.  Runs whose q* lie within
+    ``DEGENERACY_Q_TOL`` of each other are one branch, represented by its run
+    with the smallest residual, so distinct branches are more than
+    ``DEGENERACY_Q_TOL`` apart.  A branch's ``init_label`` joins with ``+``,
+    in init order, every start that close.
     """
     rho = model.rho_bar()
-    inits = (("uninformative", UNINFORMATIVE_SCALE * rho), ("informative", rho), *extra_inits)
-    runs = [se_iterate(model, q0, settings, quad, init_label=label) for label, q0 in inits]
+    inits = (("uninformative", UNINFORMATIVE_SCALE * rho), ("informative", rho),
+             ("warm-start", warm_q))
+    runs = [se_iterate(model, q0, settings, quad, label) for label, q0 in inits if q0 is not None]
     runs = [r for r in runs if r.converged] or runs
     branches = []
     for run in sorted(runs, key=lambda r: r.residual):
@@ -232,14 +235,15 @@ def _branches(model, settings, quad, extra_inits=()):
         r.q_star - b.q_star) <= DEGENERACY_Q_TOL)) for b in branches]
 
 
-def solve_f(model, settings=None, quad=None, extra_inits=()):
+def solve_f(model, settings=None, quad=None, warm_q=None):
     """Single-letter value: the branch with the smallest potential value.
 
-    Where several inits reach the same fixed point, ``init_label`` names them
-    all and ``iterations`` is that of the run with the smallest residual (see
-    :func:`_branches`); ``converged`` is False only if no run converged.
+    ``warm_q``, if given, is a third start (see :func:`_branches`).  Where
+    several inits reach the same fixed point, ``init_label`` names them all
+    and ``iterations`` is that of the run with the smallest residual;
+    ``converged`` is False only if no run converged.
     """
-    return min(_branches(model, settings, quad, extra_inits), key=lambda b: b.f_value)
+    return min(_branches(model, settings, quad, warm_q), key=lambda b: b.f_value)
 
 
 def solve_infsup(model, settings=None, quad=None):
@@ -275,54 +279,53 @@ class MmsePrediction:
     mmse_bounds: tuple = ()
 
 
-def _symmetric_fd_gradient(model, settings, quad, warm_q):
-    """Central finite differences of S -> f(S) over the d(d+1)/2 entries.
+def _symmetric_fd_gradient(model, settings, quad, q_star):
+    """Central finite differences of S -> f(S) along the branch through ``q_star``.
 
-    Off-diagonal entries are perturbed jointly at (k, l) and (l, k), i.e. the
-    differentiation is over the symmetric cone; entry steps scale with the
-    entry magnitude and are capped so S stays positive definite.
+    Each f(S +- hE) is one ``se_iterate`` from ``q_star``; it leaves the
+    branch only if a spinodal lies within h of S, and the jump then shows up
+    as a large ``consistency_gap``.  Off-diagonal entries are perturbed
+    jointly at (k, l) and (l, k), i.e. over the symmetric cone; entry steps
+    scale with the entry magnitude and are capped so S stays positive definite.
     """
     d = model.d
     s0 = model.s
     min_eig = float(np.linalg.eigvalsh(s0).min())
     grad = np.zeros((d, d))
-    warm = (("warm", warm_q),)
 
     def f_at(s_pert):
-        return solve_f(model.with_s(s_pert), settings, quad, extra_inits=warm).f_value
+        return se_iterate(model.with_s(s_pert), q_star, settings, quad).f_value
 
     for k in range(d):
         for l in range(k, d):
-            h = FINITE_DIFF_STEP * (1.0 + abs(s0[k, l]))
-            if min_eig > 0:
-                h = min(h, 0.25 * min_eig)
+            h = min(FINITE_DIFF_STEP * (1.0 + abs(s0[k, l])), 0.25 * min_eig)
             E = np.zeros((d, d))
             E[k, l] = E[l, k] = 1.0
             df = f_at(s0 + h * E) - f_at(s0 - h * E)
-            if k == l:
-                grad[k, k] = df / (2.0 * h)
-            else:
-                grad[k, l] = grad[l, k] = df / (4.0 * h)
+            grad[k, l] = grad[l, k] = df / ((2.0 if k == l else 4.0) * h)
     return grad
 
 
 def predict_mmse(model, settings=None, quad=None, allow_singular=False):
     """Asymptotic MMSE matrix M_S(r*(q*)) with a gradient-consistency check.
 
-    Requires S strictly positive definite (f is differentiable there when
-    the optimum is unique).  ``consistency_gap`` is the Frobenius distance
-    between the finite-difference gradient of f and half the MMSE matrix;
-    a near-tie between fixed points is flagged as ``degenerate`` and the
-    per-branch MMSE matrices are reported as subdifferential bounds.
+    Requires S's least eigenvalue above the cone test's tolerance
+    ``DEFAULT_PSD_TOL * max(1, |S|_2)`` (f is differentiable there when the
+    optimum is unique).  ``consistency_gap`` is the Frobenius distance
+    between half the MMSE matrix and the finite-difference gradient of f
+    along the best branch (see :func:`_symmetric_fd_gradient`); a near-tie
+    between fixed points is flagged as ``degenerate`` and the per-branch
+    MMSE matrices, the winner's first, are reported as subdifferential bounds.
     """
-    min_eig = float(np.linalg.eigvalsh(model.s).min())
-    if min_eig <= 0.0:
+    eigs = np.linalg.eigvalsh(model.s)
+    if eigs.min() <= psdlinalg.DEFAULT_PSD_TOL * max(1.0, np.abs(eigs).max()):
         if not allow_singular:
             raise ValueError("predict_mmse requires S strictly positive definite; "
                              "pass allow_singular=True to regularize")
-        warnings.warn("singular S regularized by 1e-8 I for the MMSE prediction; "
+        shift = 1e-8 - min(eigs.min(), 0.0)     # least eigenvalue at least 1e-8
+        warnings.warn(f"singular S regularized by {shift:.3g} I for the MMSE prediction; "
                       "the limit theorem assumes S positive definite", RuntimeWarning)
-        model = model.with_s(model.s + 1e-8 * np.eye(model.d))
+        model = model.with_s(model.s + shift * np.eye(model.d))
     branches = _branches(model, settings, quad)
     best = min(branches, key=lambda b: b.f_value)
     ties = [b for b in branches
@@ -333,8 +336,7 @@ def predict_mmse(model, settings=None, quad=None, allow_singular=False):
     if degenerate:
         warnings.warn("optimum is numerically non-unique: reporting per-branch "
                       "MMSE matrices as subdifferential bounds", RuntimeWarning)
-        bounds = tuple(_mmse_core(model.prior, model.s + r.r_star, quad)
-                       for r in (best, *ties))
+        bounds = (mmse, *(_mmse_core(model.prior, model.s + r.r_star, quad) for r in ties))
     grad = _symmetric_fd_gradient(model, settings, quad, best.q_star)
     gap = psdlinalg.frobenius(grad - 0.5 * mmse)
     return MmsePrediction(
@@ -400,7 +402,7 @@ class SweepRow:
 def sweep(model, path, grid, settings=None, quad=None):
     """Solve along a parameter path; rows ordered by the grid, deterministic.
 
-    The previous grid point's q* is reused as an extra init (hysteresis
+    The last converged point's q* is :func:`solve_f`'s ``warm_q`` (hysteresis
     tracking near first-order transitions), which makes the sweep sequential
     by contract.  A failing point yields an unconverged row and the sweep
     continues.  A row's ``branch`` is :func:`solve_f`'s label.  A path that
@@ -412,8 +414,7 @@ def sweep(model, path, grid, settings=None, quad=None):
     for value in grid:
         try:
             m = path.apply(model, float(value))
-            extra = (("warm-start", warm_q),) if warm_q is not None else ()
-            res = solve_f(m, settings, quad, extra_inits=extra)
+            res = solve_f(m, settings, quad, warm_q)
             mmse = _mmse_core(m.prior, m.s + res.r_star, quad)
             rows.append(SweepRow(
                 param=float(value),

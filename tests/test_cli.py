@@ -150,6 +150,9 @@ def test_mmse_subcommand(rademacher_file, tmp_path):
     assert cli.run(["mmse", "--model", rademacher_file, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["consistency_gap"] <= 1e-4
+    # the reported gap is |grad_f - mmse/2|_F of the artifact's own fields
+    gap = np.linalg.norm(np.array(doc["grad_f"]) - 0.5 * np.array(doc["mmse"]))
+    assert doc["consistency_gap"] == pytest.approx(gap, rel=1e-12)
 
 
 def test_mmse_refuses_singular_s(model_file):

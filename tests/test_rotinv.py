@@ -322,6 +322,30 @@ def test_solve_rotinv_skips_flagged_points(monkeypatch):
     assert sol.e_star == 0.1 and sol.value > GOLDEN_VALUE + 0.01
 
 
+def _random_rotinv_model(rng):
+    """Non-centred discrete prior (2-3 atoms), 1-3 tau atoms, lambda up to 300."""
+    k, t = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    weights = rng.uniform(0.2, 1.0, size=k)
+    prior = priors.discrete(rng.uniform(-2.0, 2.0, size=(k, 1)), weights / weights.sum())
+    tau_weights = rng.uniform(0.2, 1.0, size=t)
+    tau = rotinv.SpectralDistribution(rng.uniform(0.1, 3.0, size=t),
+                                      tau_weights / tau_weights.sum())
+    return rotinv.RotInvModel(float(rng.uniform(0.3, 2.0)),
+                              float(np.exp(rng.uniform(np.log(0.1), np.log(300.0)))), prior, tau)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_boundary_sections_never_beat_gamma(seed):
+    # the inf over r lies at a Gamma point (solve_rotinv's docstring): the
+    # boundary sections E = rho (its sup at r = 0) and E = 0 (at r = lam R(0))
+    # are never below the selected value
+    m = _random_rotinv_model(np.random.default_rng(seed))
+    value = rotinv.solve_rotinv(m).value
+    r0 = m.lam * rotinv.r_transform(m, 0.0)
+    assert rotinv.i_rs(m, m.rho(), 0.0) >= value
+    assert rotinv.i_rs(m, 0.0, r0) >= value
+
+
 def test_model_rejects_non_finite_scalars():
     prior, tau = priors.gaussian([[1.0]]), rotinv.marchenko_pastur_unit()
     for bad in (float("nan"), float("inf"), float("-inf"), 0.0, -1.0):

@@ -517,6 +517,21 @@ def test_predict_mmse_rejects_singular():
     with pytest.warns(RuntimeWarning):
         pred = solver.predict_mmse(m, allow_singular=True)
     assert np.isfinite(pred.consistency_gap)
+    # positive but within the cone test's tolerance: singular too (a step
+    # capped at a quarter of S, 2.5e-15, leaves a gap of 1.7e-2)
+    m = m.with_s([[1e-14]])
+    with pytest.raises(ValueError):
+        solver.predict_mmse(m)
+    with pytest.warns(RuntimeWarning, match="singular S regularized"):
+        pred = solver.predict_mmse(m, allow_singular=True)
+    assert pred.consistency_gap <= 1e-4
+    # slightly negative, within the cone tolerance of a large S: the shift
+    # lifts the least eigenvalue to 1e-8, so every S +- hE is positive definite
+    prior = priors.discrete([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], [0.25] * 4)
+    m = ModelSpec(2, (0.6 * np.eye(2),), np.diag([100.0, -5e-8]), prior)
+    with pytest.warns(RuntimeWarning, match="singular S regularized by 6e-08 I"):
+        pred = solver.predict_mmse(m, quad=gauss_hermite(21), allow_singular=True)
+    assert pred.consistency_gap <= 1e-4
 
 
 def test_predict_mmse_reports_bounds_at_a_tie():
@@ -528,8 +543,32 @@ def test_predict_mmse_reports_bounds_at_a_tie():
         pred = solver.predict_mmse(m, quad=GH63)
     assert pred.degenerate and len(pred.mmse_bounds) == 2
     npt.assert_array_equal(pred.mmse_bounds[0], pred.mmse)
+    # the gradient follows the winning branch: no quotient mixes the two
+    # branches, which would put grad_f near 0.0178 instead of M/2 = 0.0250
+    assert pred.consistency_gap <= 1e-8
     # uninformative (about the prior variance 0.05) and informative (0.021)
     assert pred.mmse_bounds[0][0, 0] > 0.049 and pred.mmse_bounds[1][0, 0] < 0.022
+
+
+def test_predict_mmse_gradient_continues_the_best_branch(monkeypatch):
+    # the C4 one-coupling d=2 model: two searching runs, then one run per
+    # point S +- hE, d(d+1) = 6 of them, each started at the winner's q*
+    starts = []
+    se_iterate = solver.se_iterate
+
+    def spy(model, q0, *args, **kwargs):
+        starts.append(np.array(q0))
+        return se_iterate(model, q0, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "se_iterate", spy)
+    prior = priors.discrete([[0.9, 0.9], [0.05, -0.65], [-1.35, -0.35], [-0.25, -1.35]],
+                            [0.1, 0.4, 0.3, 0.2])
+    m = ModelSpec(2, (0.6 * np.eye(2),), [[0.47, -0.15], [-0.15, 0.45]], prior)
+    pred = solver.predict_mmse(m, quad=GH63)
+    assert len(starts) == 2 + 2 * 3
+    for q0 in starts[2:]:
+        npt.assert_array_equal(q0, pred.q_star)
+    assert pred.consistency_gap <= 1e-4
 
 
 # ---------------------------------------------------------------------------
